@@ -32,7 +32,7 @@ from .partitions import (
     monochromatic,
     rainbow,
 )
-from .sigma_engine import enumerate_valid_distributions, sigma_exists_k, sigma_spectrum
+from .sigma_engine import enumerate_valid_distributions, sigma_colourable, sigma_exists_k, sigma_spectrum
 
 
 def _and3(*flags: bool | None) -> bool | None:
@@ -140,16 +140,14 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
             unique = None
             equal_sizes = None
 
+    # Removing p breaks colourability iff no k admits a valid distribution
+    # under the reduced set: one search over every k, stopped at the first.
     minimality: list[tuple[Partition, bool | None]] = []
     for p in allowed:
-        reduced = allowed.without(p)
-        sub = sigma_spectrum(s, reduced, k_max=nq, budget_s=budget_s)
-        if sub.feasible:
-            flag: bool | None = False
-        elif sub.unknown:
+        try:
+            flag: bool | None = sigma_colourable(s, allowed.without(p), deadline=Deadline(budget_s)) is None
+        except BudgetExceeded:
             flag = None
-        else:
-            flag = True
         minimality.append((p, flag))
 
     # k is the least feasible count: the spectrum value itself when singleton,

@@ -59,8 +59,16 @@ ENV_PREFIX = "PATCOL_"
 class Config:
     budget_s: float | None = None
     edge_cap: int = 10**7
-    threads: int = 1
     catalog_path: str | None = None
+
+
+# Config-file keys with the check their value must pass (bools never pass);
+# null keeps the "none" default of budget_s and catalog_path.
+_CONFIG_KEYS = {
+    "budget_s": (lambda v: v is None or isinstance(v, (int, float)) and v >= 0, "a number >= 0 or null"),
+    "edge_cap": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
 
 
 def _load_config(args: argparse.Namespace) -> Config:
@@ -71,28 +79,24 @@ def _load_config(args: argparse.Namespace) -> Config:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        cfg.budget_s = data.get("budget_s", cfg.budget_s)
-        cfg.edge_cap = data.get("edge_cap", cfg.edge_cap)
-        cfg.threads = data.get("threads", cfg.threads)
-        cfg.catalog_path = data.get("catalog_path", cfg.catalog_path)
+        for key, (ok, expected) in _CONFIG_KEYS.items():
+            if key in data:
+                value = data[key]
+                if isinstance(value, bool) or not ok(value):
+                    raise ValueError(f"{path}: config key {key!r} must be {expected}, got {json.dumps(value)}")
+                setattr(cfg, key, value)
     if ENV_PREFIX + "BUDGET" in os.environ:
         cfg.budget_s = float(os.environ[ENV_PREFIX + "BUDGET"])
     if ENV_PREFIX + "EDGE_CAP" in os.environ:
         cfg.edge_cap = int(os.environ[ENV_PREFIX + "EDGE_CAP"])
-    if ENV_PREFIX + "THREADS" in os.environ:
-        cfg.threads = int(os.environ[ENV_PREFIX + "THREADS"])
     if ENV_PREFIX + "CATALOG" in os.environ:
         cfg.catalog_path = os.environ[ENV_PREFIX + "CATALOG"]
     if args.budget is not None:
         cfg.budget_s = args.budget
     if args.edge_cap is not None:
         cfg.edge_cap = args.edge_cap
-    if args.threads is not None:
-        cfg.threads = args.threads
     if args.catalog is not None:
         cfg.catalog_path = args.catalog
-    if cfg.threads < 1:
-        raise ValueError("threads must be at least 1")
     return cfg
 
 
@@ -268,9 +272,8 @@ def _cmd_verify(args, cfg) -> tuple[dict, bool]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--budget", type=float, help="time budget per decision, seconds")
+    common.add_argument("--budget", type=float, help="time budget per search, seconds")
     common.add_argument("--edge-cap", type=int, dest="edge_cap", help="explicit edge cap")
-    common.add_argument("--threads", type=int, help="reserved; engines are sequential")
     common.add_argument("--catalog", help="append results to this catalogue file")
 
     parser = argparse.ArgumentParser(prog="patcol", description=__doc__)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .hypergraph import Hypergraph, SigmaHypergraph
-from .partitions import Partition, PatternSet, monochromatic, rainbow
-from .sigma_engine import _bounded_partitions
+from .partitions import Partition, PatternSet, bounded_partitions, monochromatic, rainbow
 
 
 class VertexCapExceeded(Exception):
@@ -69,7 +68,7 @@ def is_k_full(f: PatternSet, k: int, n_cap: int, q_cap: int) -> KFullWitness | N
     if k < r:
         raise ValueError(f"k-fullness needs k >= r, got k={k}, r={r}")
     members = f.members
-    for b in _bounded_partitions(k, n_cap, q_cap):
+    for b in bounded_partitions(k, n_cap, q_cap):
         needed: set[Partition] = set()
         ok = True
         for a_vec in _draw_vectors(b, r):

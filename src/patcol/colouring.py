@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .budget import BudgetExceeded, Deadline, _Ticker
 from .hypergraph import Hypergraph
-from .partitions import Partition, PatternSet, as_partition, enumerate_partitions, monochromatic
+from .partitions import Partition, PatternSet, enumerate_partitions, monochromatic
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,9 @@ def pat(edge: Iterable[int], c: Colouring) -> Partition:
     counts: dict[int, int] = {}
     for v in edge:
         counts[c.colours[v]] = counts.get(c.colours[v], 0) + 1
-    return as_partition(counts.values())
+    # Counts are positive ints: as_partition's input checks would only slow
+    # this per-edge path down.
+    return tuple(sorted(counts.values(), reverse=True))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ Partition = tuple[int, ...]
 def as_partition(parts: Iterable[int]) -> Partition:
     """Canonicalise an iterable of parts to a non-increasing tuple."""
     t = tuple(sorted(parts, reverse=True))
+    if bool in map(type, t):
+        raise ValueError(f"partition parts must be integers, not booleans, got {list(t)}")
     if not t:
         raise ValueError("a partition needs at least one part")
     if t[-1] < 1:
@@ -148,6 +150,18 @@ def iter_partitions(r: int) -> Iterator[Partition]:
             take = min(part[-1], remainder)
             part.append(take)
             remainder -= take
+
+
+def bounded_partitions(m: int, max_parts: int, max_val: int) -> Iterator[Partition]:
+    """Partitions of m into at most max_parts parts, each at most max_val, lex-descending."""
+    if m == 0:
+        yield ()
+        return
+    if max_parts <= 0 or max_val <= 0:
+        return
+    for first in range(min(m, max_val), 0, -1):
+        for rest in bounded_partitions(m - first, max_parts - 1, first):
+            yield (first,) + rest
 
 
 def enumerate_partitions(r: int) -> PatternSet:

@@ -18,6 +18,11 @@ the assigned classes is checked for an achievable forbidden pattern (one part
 drawn from the newest class); additionally, per-colour count caps are derived
 by testing single-colour draws, which kills most branches before a row is
 even completed.
+
+One search serves a whole set of target colour counts: rows are enumerated
+the same way whatever the target, which only caps the number of fresh
+colours, so a spectrum is one pass that prunes a branch only when no target
+still open is reachable from it.
 """
 from __future__ import annotations
 
@@ -27,11 +32,16 @@ from typing import Iterator, Mapping, Sequence
 from .budget import BudgetExceeded, Deadline, _Ticker
 from .colouring import Spectrum
 from .hypergraph import SigmaHypergraph
-from .partitions import Partition, PatternSet
+from .partitions import Partition, PatternSet, bounded_partitions
 
-Row = Mapping[int, int]  # colour -> positive count within one class
+# One class row in canonical form: ((colour, count), ...), colours ascending,
+# counts positive.  Draws from a row use the same form.
+Row = tuple[tuple[int, int], ...]
 
-_DRAW_CACHE: dict[tuple, tuple] = {}
+# Longer draw lists are rebuilt on demand instead of cached: on H(10,5,17),
+# caching them all held over a million draws (about 230 MB) and was slower
+# than rebuilding them.
+_CACHED_DRAWS_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -44,9 +54,11 @@ class DistributionMatrix:
     counts: tuple[tuple[int, ...], ...]  # n rows, k columns
 
     @classmethod
-    def from_rows(cls, n: int, q: int, rows: Sequence[Row]) -> "DistributionMatrix":
+    def from_rows(cls, n: int, q: int, rows: Sequence[Mapping[int, int] | Row]) -> "DistributionMatrix":
+        """Canonical matrix from class rows given as colour -> count maps or as Rows."""
         if len(rows) != n:
             raise ValueError(f"expected {n} class rows, got {len(rows)}")
+        rows = [dict(row) for row in rows]
         colours = sorted({c for row in rows for c, v in row.items() if v > 0})
         for row in rows:
             if sum(row.values()) != q:
@@ -66,8 +78,8 @@ class DistributionMatrix:
         counts = tuple(tuple(col[i] for col in cols) for i in range(n))
         return cls(n, q, k, counts)
 
-    def rows(self) -> list[dict[int, int]]:
-        return [{j: v for j, v in enumerate(row) if v > 0} for row in self.counts]
+    def rows(self) -> list[Row]:
+        return [tuple((j, v) for j, v in enumerate(row) if v > 0) for row in self.counts]
 
     def colour_totals(self) -> tuple[int, ...]:
         return tuple(sum(row[j] for row in self.counts) for j in range(self.k))
@@ -81,26 +93,17 @@ def cdmc(s: SigmaHypergraph) -> DistributionMatrix:
     return DistributionMatrix.from_rows(s.n, s.q, [{i: s.q} for i in range(s.n)])
 
 
-def _row_key(row: Row) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((c, v) for c, v in row.items() if v > 0))
-
-
-def _draws(row: Row, a: int) -> tuple[dict[int, int], ...]:
-    """All colour sub-multisets of size a drawable from one class row."""
-    key = (_row_key(row), a)
-    hit = _DRAW_CACHE.get(key)
-    if hit is not None:
-        return hit
-    items = key[0]
-    out: list[dict[int, int]] = []
+def _sub_multisets(row: Row, a: int) -> list[Row]:
+    """All colour sub-multisets of size a of one row, larger takes of earlier colours first."""
+    out: list[Row] = []
 
     def rec(i: int, left: int, acc: list[tuple[int, int]]):
         if left == 0:
-            out.append(dict(acc))
+            out.append(tuple(acc))
             return
-        if i == len(items):
+        if i == len(row):
             return
-        colour, avail = items[i]
+        colour, avail = row[i]
         for take in range(min(avail, left), -1, -1):
             if take:
                 acc.append((colour, take))
@@ -109,9 +112,7 @@ def _draws(row: Row, a: int) -> tuple[dict[int, int], ...]:
                 acc.pop()
 
     rec(0, a, [])
-    result = tuple(out)
-    _DRAW_CACHE[key] = result
-    return result
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class ForbiddenWitness:
     pattern: Partition
     edge_type: Partition
     part_classes: tuple[int, ...]
-    picks: tuple[tuple[tuple[int, int], ...], ...]  # per part: ((colour, count), ...)
+    picks: tuple[Row, ...]  # per part: ((colour, count), ...)
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,141 +133,224 @@ class ForbiddenWitness:
         }
 
 
-def _place_parts(
-    parts: tuple[int, ...],
-    idx: int,
-    classes: Sequence[int],
-    used: set[int],
-    prev_class_same: int,
-    rows: Sequence[Row],
-    totals: dict[int, int],
-    allowed_members: frozenset[Partition],
-    trail: list[tuple[int, dict[int, int]]],
-    collect: set[Partition] | None,
-    ticker: _Ticker | None,
-) -> tuple[Partition, list] | None:
-    """Assign parts[idx:] to distinct classes and draw colours for each.
+class _Search:
+    """The state of one search and the tables built once for it.
 
-    With collect=None, returns the first (pattern, placement) whose pattern is
-    forbidden; with a collect set, gathers every achievable pattern instead.
+    ``rows`` are the placed class rows, which a distribution search appends
+    and pops.  Every placement ticks the one ticker.  With a ``collect`` set,
+    placements gather every achievable pattern instead of stopping at the
+    first forbidden one.
     """
-    if ticker is not None:
-        ticker.tick()
-    if idx == len(parts):
-        pattern = tuple(sorted(totals.values(), reverse=True))
-        if collect is not None:
-            collect.add(pattern)
+
+    def __init__(
+        self,
+        rows: list[Row],
+        q: int,
+        sigma_types: Sequence[Partition],
+        allowed_members: frozenset[Partition],
+        deadline: Deadline | None = None,
+        collect: set[Partition] | None = None,
+        count_multisets: Sequence[Partition] = (),
+    ):
+        self.rows = rows
+        self.q = q
+        self.allowed = allowed_members
+        self.ticker = _Ticker(deadline, stride=256)
+        self.collect = collect
+        self.draw_cache: dict[tuple[Row, int], list[Row]] = {}
+        # (edge type, part, other parts) for each distinct part of each type;
+        # the ban probes are the same splits by part ascending.
+        self.splits = [
+            (sigma, a, sigma[:i] + sigma[i + 1 :])
+            for sigma in sigma_types
+            for i, a in enumerate(sigma)
+            if a not in sigma[:i]
+        ]
+        self.ban_probes = [(a, rest) for _, a, rest in sorted(self.splits, key=lambda split: split[1])]
+        self.count_multisets = count_multisets
+
+    def draws(self, row: Row, a: int) -> list[Row]:
+        key = (row, a)
+        hit = self.draw_cache.get(key)
+        if hit is None:
+            hit = _sub_multisets(row, a)
+            if len(hit) <= _CACHED_DRAWS_MAX:
+                self.draw_cache[key] = hit
+        return hit
+
+    def place(
+        self,
+        parts: Partition,
+        idx: int,
+        limit: int,
+        taken: int,
+        prev: int,
+        totals: dict[int, int],
+        trail: list[tuple[int, Row]],
+    ) -> tuple[Partition, list[tuple[int, Row]]] | None:
+        """Assign parts[idx:] to distinct classes below limit and draw colours for each.
+
+        ``taken`` is a bitmask of the classes in use and ``prev`` the class of
+        the previous part.  Returns the first (pattern, placement) whose
+        pattern is forbidden, or None; in collect mode always None.
+        """
+        self.ticker.tick()
+        if idx == len(parts):
+            pattern = tuple(sorted(totals.values(), reverse=True))
+            if self.collect is not None:
+                self.collect.add(pattern)
+            elif pattern not in self.allowed:
+                return pattern, list(trail)
             return None
-        if pattern not in allowed_members:
-            return pattern, list(trail)
+        a = parts[idx]
+        # Equal parts take strictly increasing classes.
+        start = prev + 1 if idx > 0 and parts[idx - 1] == a else 0
+        rows = self.rows
+        for cls in range(start, limit):
+            if taken >> cls & 1:
+                continue
+            for draw in self.draws(rows[cls], a):
+                for c, v in draw:
+                    totals[c] = totals.get(c, 0) + v
+                trail.append((cls, draw))
+                hit = self.place(parts, idx + 1, limit, taken | 1 << cls, cls, totals, trail)
+                trail.pop()
+                for c, v in draw:
+                    totals[c] -= v
+                    if totals[c] == 0:
+                        del totals[c]
+                if hit is not None:
+                    return hit
         return None
-    a = parts[idx]
-    same_as_prev = idx > 0 and parts[idx - 1] == a
-    for cls in classes:
-        if cls in used:
-            continue
-        if same_as_prev and cls <= prev_class_same:
-            continue  # equal parts take strictly increasing classes
-        if sum(rows[cls].values()) < a:
-            continue
-        used.add(cls)
-        for draw in _draws(rows[cls], a):
-            for c, v in draw.items():
-                totals[c] = totals.get(c, 0) + v
-            trail.append((cls, draw))
-            hit = _place_parts(
-                parts, idx + 1, classes, used, cls, rows, totals, allowed_members, trail, collect, ticker
-            )
-            trail.pop()
-            for c, v in draw.items():
-                totals[c] -= v
-                if totals[c] == 0:
-                    del totals[c]
-            if hit is not None:
-                used.discard(cls)
-                return hit
-        used.discard(cls)
-    return None
+
+    def newest_row_violates(self) -> bool:
+        """Does some placement with one part drawn from the newest class hit a forbidden pattern?
+
+        Placements entirely inside older classes were checked when those
+        classes were placed, so this incremental check keeps full coverage.
+        """
+        last = len(self.rows) - 1
+        for _, a, rest in self.splits:
+            if len(rest) > last:
+                continue
+            for draw in self.draws(self.rows[last], a):
+                if self.place(rest, 0, last, 0, -1, dict(draw), []) is not None:
+                    return True
+        return False
+
+    def ban_threshold(self, colour: int) -> int:
+        """Smallest count a for which a pure draw of colour forces a violation.
+
+        If the next class gives colour at least this count, some edge taking a
+        whole part of that colour from it (other parts from placed classes)
+        has a forbidden pattern, so larger counts need not be enumerated.
+        Returns q+1 when no pure-draw violation exists.
+        """
+        placed = len(self.rows)
+        for a, rest in self.ban_probes:
+            if len(rest) <= placed and self.place(rest, 0, placed, 0, -1, {colour: a}, []) is not None:
+                return a
+        return self.q + 1
+
+    def candidate_rows(self, used: int, max_fresh: int) -> Iterator[tuple[Row, int]]:
+        """Canonical next-class rows, as (row, colours used after this row).
+
+        Rows are enumerated as a count multiset (a partition of q, largest-first,
+        so monochromatic reuse comes first) followed by an assignment of counts to
+        colours.  Existing colours are grouped by their placed column; within a
+        group counts fall non-increasingly along ascending colour indices, at most
+        max_fresh fresh colours trail behind the existing ones, and per-colour
+        caps derived from single-colour draw violations cut reuse early.
+        """
+        q = self.q
+        columns = [[0] * len(self.rows) for _ in range(used)]
+        for i, row in enumerate(self.rows):
+            for c, v in row:
+                columns[c][i] = v
+        groups: list[list[int]] = []
+        seen: dict[tuple[int, ...], int] = {}
+        for c in range(used):
+            col = tuple(columns[c])
+            if col in seen:
+                groups[seen[col]].append(c)
+            else:
+                seen[col] = len(groups)
+                groups.append([c])
+        caps = [min(q, self.ban_threshold(g[0]) - 1) for g in groups]
+        fresh_cap = min(q, self.ban_threshold(used) - 1) if max_fresh > 0 else 0
+        ngroups = len(groups)
+
+        def assign(
+            parts: Partition,
+            pi: int,
+            prev_target: int,
+            room: list[int],
+            last_val: list[int],
+            fresh_used: int,
+            fresh_last: int,
+            acc: list[tuple[int, int]],
+        ) -> Iterator[tuple[Row, int]]:
+            if pi == len(parts):
+                row: dict[int, int] = {}
+                fills: dict[int, int] = {}
+                for target, v in acc:
+                    if target == ngroups:
+                        row[used + fills.get(target, 0)] = v
+                    else:
+                        row[groups[target][fills.get(target, 0)]] = v
+                    fills[target] = fills.get(target, 0) + 1
+                yield tuple(sorted(row.items())), used + fills.get(ngroups, 0)
+                return
+            v = parts[pi]
+            # Equal parts take non-decreasing targets, killing permuted repeats.
+            start = prev_target if pi > 0 and parts[pi - 1] == v else 0
+            for target in range(start, ngroups + 1):
+                if target == ngroups:
+                    if fresh_used >= max_fresh or v > fresh_cap or v > fresh_last:
+                        continue
+                    acc.append((target, v))
+                    yield from assign(parts, pi + 1, target, room, last_val, fresh_used + 1, v, acc)
+                    acc.pop()
+                else:
+                    if room[target] == 0 or v > caps[target] or v > last_val[target]:
+                        continue
+                    room[target] -= 1
+                    old = last_val[target]
+                    last_val[target] = v
+                    acc.append((target, v))
+                    yield from assign(parts, pi + 1, target, room, last_val, fresh_used, fresh_last, acc)
+                    acc.pop()
+                    last_val[target] = old
+                    room[target] += 1
+
+        slots = used + max_fresh
+        for lam in self.count_multisets:
+            if len(lam) <= slots:  # every count needs its own colour
+                yield from assign(lam, 0, 0, [len(g) for g in groups], [q] * ngroups, 0, q, [])
 
 
-def _witness_from(sigma: Partition, pinned: tuple[int, dict[int, int]] | None, hit: tuple[Partition, list]) -> ForbiddenWitness:
-    pattern, trail = hit
-    placement = ([pinned] if pinned else []) + trail
-    # Order by the part sequence: pinned part was placed first in search order.
+def _witness_from(sigma: Partition, hit: tuple[Partition, list[tuple[int, Row]]]) -> ForbiddenWitness:
+    pattern, placement = hit
     return ForbiddenWitness(
         pattern=pattern,
         edge_type=sigma,
         part_classes=tuple(cls for cls, _ in placement),
-        picks=tuple(tuple(sorted(d.items())) for _, d in placement),
+        picks=tuple(draw for _, draw in placement),
     )
 
 
-def _forbidden_full(
-    rows: Sequence[Row],
-    sigma_types: Sequence[Partition],
-    allowed_members: frozenset[Partition],
-    ticker: _Ticker | None = None,
-) -> ForbiddenWitness | None:
-    """Search all edge placements over all classes for a forbidden pattern."""
-    classes = range(len(rows))
-    for sigma in sigma_types:
-        if len(sigma) > len(rows):
-            continue
-        hit = _place_parts(sigma, 0, classes, set(), -1, rows, {}, allowed_members, [], None, ticker)
-        if hit is not None:
-            return _witness_from(sigma, None, hit)
-    return None
-
-
-def _forbidden_with_last(
-    rows: Sequence[Row],
-    sigma_types: Sequence[Partition],
-    allowed_members: frozenset[Partition],
-    ticker: _Ticker | None = None,
-) -> ForbiddenWitness | None:
-    """Search placements where one part is drawn from the newest class.
-
-    Placements entirely inside older classes were checked when those classes
-    were placed, so this incremental check keeps full coverage.
-    """
-    last = len(rows) - 1
-    older = range(last)
-    for sigma in sigma_types:
-        if len(sigma) > len(rows):
-            continue
-        tried: set[int] = set()
-        for i, a in enumerate(sigma):
-            if a in tried:
-                continue
-            tried.add(a)
-            rest = sigma[:i] + sigma[i + 1 :]
-            if len(rest) > last:
-                continue
-            for draw in _draws(rows[last], a):
-                totals = dict(draw)
-                hit = _place_parts(
-                    rest, 0, older, set(), -1, rows, totals, allowed_members, [], None, ticker
-                )
-                if hit is not None:
-                    return _witness_from(sigma, (last, draw), hit)
-    return None
-
-
-def _achievable_patterns(rows: Sequence[Row], sigma_types: Sequence[Partition]) -> set[Partition]:
-    out: set[Partition] = set()
-    classes = range(len(rows))
-    for sigma in sigma_types:
-        if len(sigma) > len(rows):
-            continue
-        _place_parts(sigma, 0, classes, set(), -1, rows, {}, frozenset(), [], out, None)
-    return out
+def _placeable_types(d: DistributionMatrix, edge_types: PatternSet) -> list[Partition]:
+    return [t for t in edge_types if len(t) <= d.n and t[0] <= d.q]
 
 
 def realizable_patterns(d: DistributionMatrix, edge_types: PatternSet) -> PatternSet:
     """Every colour pattern achievable by some edge under distribution d."""
-    rows = d.rows()
-    types = [t for t in edge_types if len(t) <= d.n and t[0] <= d.q]
-    return PatternSet(edge_types.r, frozenset(_achievable_patterns(rows, types)))
+    found: set[Partition] = set()
+    types = _placeable_types(d, edge_types)
+    search = _Search(d.rows(), d.q, types, frozenset(), collect=found)
+    for sigma in types:
+        search.place(sigma, 0, d.n, 0, -1, {}, [])
+    return PatternSet(edge_types.r, frozenset(found))
 
 
 @dataclass(frozen=True)
@@ -280,183 +364,62 @@ class DistValidity:
 
 def dist_valid(d: DistributionMatrix, edge_types: PatternSet, allowed: PatternSet) -> DistValidity:
     """Valid iff every achievable pattern is allowed; else one witness."""
-    rows = d.rows()
-    types = sorted((t for t in edge_types if len(t) <= d.n and t[0] <= d.q), reverse=True)
-    w = _forbidden_full(rows, types, allowed.members)
-    return DistValidity(w is None, w)
+    types = _placeable_types(d, edge_types)
+    search = _Search(d.rows(), d.q, types, allowed.members)
+    for sigma in types:
+        hit = search.place(sigma, 0, d.n, 0, -1, {}, [])
+        if hit is not None:
+            return DistValidity(False, _witness_from(sigma, hit))
+    return DistValidity(True)
 
 
-def _bounded_partitions(m: int, max_parts: int, max_val: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of m into at most max_parts parts, each at most max_val, lex-descending."""
-    if m == 0:
-        yield ()
-        return
-    if max_parts <= 0 or max_val <= 0:
-        return
-    for first in range(min(m, max_val), 0, -1):
-        for rest in _bounded_partitions(m - first, max_parts - 1, first):
-            yield (first,) + rest
+def _count_multisets(s: SigmaHypergraph, allowed_members: frozenset[Partition]) -> list[Partition]:
+    """The count multisets a class row may take: partitions of q, largest-first.
 
-
-def _ban_threshold(
-    rows: Sequence[Row],
-    rep_colour: int,
-    q: int,
-    sigma_types: Sequence[Partition],
-    allowed_members: frozenset[Partition],
-) -> int:
-    """Smallest count a for which a pure draw of rep_colour forces a violation.
-
-    If the next class gives rep_colour at least this count, some edge taking a
-    whole part of that colour from it (other parts from placed classes) has a
-    forbidden pattern, so larger counts need not be enumerated.  Returns q+1
-    when no pure-draw violation exists.
+    When a whole edge can sit in one class, a row's count multiset alone
+    decides whether its within-class patterns are allowed: pattern p is
+    drawable from counts lam iff p[i] <= lam[i] for every part of p.
     """
-    older = range(len(rows))
-    part_values = sorted({a for sigma in sigma_types for a in sigma if a <= q})
-    for a in part_values:
-        for sigma in sigma_types:
-            tried: set[int] = set()
-            for i, val in enumerate(sigma):
-                if val != a or val in tried:
-                    continue
-                tried.add(val)
-                rest = sigma[:i] + sigma[i + 1 :]
-                if len(rest) > len(rows):
-                    continue
-                totals = {rep_colour: a}
-                hit = _place_parts(rest, 0, older, set(), -1, rows, totals, allowed_members, [], None, None)
-                if hit is not None:
-                    return a
-    return q + 1
-
-
-def _mono_draws_ok(lam: tuple[int, ...], r: int, allowed_members: frozenset[Partition]) -> bool:
-    """Do all r-vertex draws from a class with count multiset lam stay allowed?
-
-    Only relevant when the monochromatic edge type is realizable: every part
-    of any other type is drawn from a different class, so the count multiset
-    alone decides the within-class patterns.
-    """
-    row = {i: v for i, v in enumerate(lam)}
-    return all(
-        tuple(sorted(d.values(), reverse=True)) in allowed_members for d in _draws(row, r)
-    )
-
-
-def _candidate_rows(
-    placed: Sequence[Row],
-    used: int,
-    k: int,
-    q: int,
-    sigma_types: Sequence[Partition],
-    allowed_members: frozenset[Partition],
-) -> Iterator[tuple[dict[int, int], int]]:
-    """Canonical next-class rows, as (row, colours used after this row).
-
-    Rows are enumerated as a count multiset (a partition of q, largest-first,
-    so monochromatic reuse comes first) followed by an assignment of counts to
-    colours.  Existing colours are grouped by their placed column; within a
-    group counts fall non-increasingly along ascending colour indices, fresh
-    colours trail behind the existing ones, and per-colour caps derived from
-    single-colour draw violations cut reuse early.
-    """
-    r = sum(sigma_types[0]) if sigma_types else 0
-    columns: dict[int, tuple[int, ...]] = {
-        c: tuple(row.get(c, 0) for row in placed) for c in range(used)
-    }
-    groups: list[list[int]] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for c in range(used):
-        col = columns[c]
-        if col in seen:
-            groups[seen[col]].append(c)
-        else:
-            seen[col] = len(groups)
-            groups.append([c])
-    caps = [
-        min(q, _ban_threshold(placed, g[0], q, sigma_types, allowed_members) - 1) for g in groups
+    lams = list(bounded_partitions(s.q, s.q, s.q))
+    if (s.r,) not in s.realizable_types():
+        return lams
+    forbidden = [p for p in bounded_partitions(s.r, s.r, s.r) if p not in allowed_members]
+    return [
+        lam for lam in lams if not any(len(p) <= len(lam) and all(map(int.__le__, p, lam)) for p in forbidden)
     ]
-    fresh_cap = min(q, _ban_threshold(placed, used, q, sigma_types, allowed_members) - 1)
-    max_fresh = k - used
-    mono_realizable = any(len(t) == 1 for t in sigma_types)
-    ngroups = len(groups)
-
-    def assign(
-        parts: tuple[int, ...],
-        pi: int,
-        prev_target: int,
-        room: list[int],
-        last_val: list[int],
-        fresh_used: int,
-        fresh_last: int,
-        acc: list[tuple[int, int]],
-    ) -> Iterator[tuple[dict[int, int], int]]:
-        if pi == len(parts):
-            row: dict[int, int] = {}
-            fills: dict[int, int] = {}
-            for target, v in acc:
-                if target == ngroups:
-                    row[used + fills.get(target, 0)] = v
-                else:
-                    row[groups[target][fills.get(target, 0)]] = v
-                fills[target] = fills.get(target, 0) + 1
-            yield row, used + fills.get(ngroups, 0)
-            return
-        v = parts[pi]
-        # Equal parts take non-decreasing targets, killing permuted repeats.
-        start = prev_target if pi > 0 and parts[pi - 1] == v else 0
-        for target in range(start, ngroups + 1):
-            if target == ngroups:
-                if fresh_used >= max_fresh or v > fresh_cap or v > fresh_last:
-                    continue
-                acc.append((target, v))
-                yield from assign(parts, pi + 1, target, room, last_val, fresh_used + 1, v, acc)
-                acc.pop()
-            else:
-                if room[target] == 0 or v > caps[target] or v > last_val[target]:
-                    continue
-                room[target] -= 1
-                old = last_val[target]
-                last_val[target] = v
-                acc.append((target, v))
-                yield from assign(parts, pi + 1, target, room, last_val, fresh_used, fresh_last, acc)
-                acc.pop()
-                last_val[target] = old
-                room[target] += 1
-
-    for lam in _bounded_partitions(q, q, q):
-        if mono_realizable and not _mono_draws_ok(lam, r, allowed_members):
-            continue
-        yield from assign(lam, 0, 0, [len(g) for g in groups], [q] * ngroups, 0, q, [])
 
 
 def _search_distributions(
-    s: SigmaHypergraph, allowed: PatternSet, k: int, deadline: Deadline | None
-) -> Iterator[tuple[dict[int, int], ...]]:
-    """Depth-first generator of valid exactly-k distributions, rows as dicts."""
+    s: SigmaHypergraph, allowed: PatternSet, targets: set[int], deadline: Deadline | None
+) -> Iterator[DistributionMatrix]:
+    """Depth-first generator of valid distributions whose colour count is a target.
+
+    ``targets`` is read at every node, so a caller may discard counts between
+    yields: a branch is pruned once no count still in it is reachable.
+    """
     if allowed.r != s.r:
         raise ValueError(f"pattern set is over r={allowed.r}, structure is {s.r}-uniform")
-    if not 1 <= k <= s.vertex_count:
-        raise ValueError(f"need 1 <= k <= {s.vertex_count}, got k={k}")
+    for k in targets:
+        if not 1 <= k <= s.vertex_count:
+            raise ValueError(f"need 1 <= k <= {s.vertex_count}, got k={k}")
+    n, q = s.n, s.q
     sigma_types = sorted(s.realizable_types(), reverse=True)
-    allowed_members = allowed.members
-    ticker = _Ticker(deadline, stride=256)
-    rows: list[dict[int, int]] = []
+    lams = _count_multisets(s, allowed.members)
+    search = _Search([], q, sigma_types, allowed.members, deadline, count_multisets=lams)
+    rows = search.rows
 
-    def rec(ci: int, used: int) -> Iterator[tuple[dict[int, int], ...]]:
-        ticker.tick()
-        if ci == s.n:
-            if used == k:
-                yield tuple(dict(r) for r in rows)
+    def rec(ci: int, used: int) -> Iterator[DistributionMatrix]:
+        search.ticker.tick()
+        if ci == n:
+            if used in targets:
+                yield DistributionMatrix.from_rows(n, q, rows)
             return
-        if k - used > (s.n - ci) * s.q:
+        reach = used + (n - ci) * q
+        if not any(used <= t <= reach for t in targets):
             return
-        for row, new_used in _candidate_rows(rows, used, k, s.q, sigma_types, allowed_members):
-            if new_used > k:
-                continue
+        for row, new_used in search.candidate_rows(used, max(targets) - used):
             rows.append(row)
-            if _forbidden_with_last(rows, sigma_types, allowed_members, ticker) is None:
+            if not search.newest_row_violates():
                 yield from rec(ci + 1, new_used)
             rows.pop()
 
@@ -471,27 +434,45 @@ def sigma_exists_k(
     Agrees with the explicit engine's search wherever both run; raises
     BudgetExceeded when the deadline passes before a decision.
     """
-    for rows in _search_distributions(s, allowed, k, deadline):
-        return DistributionMatrix.from_rows(s.n, s.q, rows)
-    return None
+    return next(_search_distributions(s, allowed, {k}, deadline), None)
+
+
+def sigma_colourable(
+    s: SigmaHypergraph, allowed: PatternSet, deadline: Deadline | None = None
+) -> DistributionMatrix | None:
+    """The first valid distribution with any number of colours, or None.
+
+    One search over every colour count; raises BudgetExceeded when the
+    deadline passes before a decision.
+    """
+    return next(_search_distributions(s, allowed, set(range(1, s.vertex_count + 1)), deadline), None)
 
 
 def sigma_spectrum(
     s: SigmaHypergraph, allowed: PatternSet, k_max: int | None = None, budget_s: float | None = None
 ) -> Spectrum:
-    """Feasible colour counts via the distribution engine; overruns go to unknown."""
+    """Feasible colour counts via the distribution engine, in one search.
+
+    The search runs under a single budget and drops each count once it finds
+    a distribution with it.  On an overrun the counts found so far are
+    feasible and every count still open is unknown, never infeasible.
+    """
     if k_max is None:
         k_max = s.vertex_count
     if not 1 <= k_max <= s.vertex_count:
         raise ValueError(f"need 1 <= k_max <= {s.vertex_count}, got {k_max}")
-    feasible, unknown = [], []
-    for k in range(1, k_max + 1):
-        try:
-            if sigma_exists_k(s, allowed, k, deadline=Deadline(budget_s)) is not None:
-                feasible.append(k)
-        except BudgetExceeded:
-            unknown.append(k)
-    return Spectrum(tuple(feasible), k_max, tuple(unknown))
+    open_ks = set(range(1, k_max + 1))
+    feasible = []
+    unknown: tuple[int, ...] = ()
+    try:
+        for m in _search_distributions(s, allowed, open_ks, Deadline(budget_s)):
+            feasible.append(m.k)
+            open_ks.discard(m.k)
+            if not open_ks:
+                break
+    except BudgetExceeded:
+        unknown = tuple(sorted(open_ks))
+    return Spectrum(tuple(sorted(feasible)), k_max, unknown)
 
 
 def enumerate_valid_distributions(
@@ -503,8 +484,7 @@ def enumerate_valid_distributions(
     raises BudgetExceeded after whatever partial output was produced.
     """
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for rows in _search_distributions(s, allowed, k, deadline):
-        m = DistributionMatrix.from_rows(s.n, s.q, rows)
+    for m in _search_distributions(s, allowed, {k}, deadline):
         if m.counts not in seen:
             seen.add(m.counts)
             yield m

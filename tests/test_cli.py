@@ -44,6 +44,12 @@ class TestClassifyCommand:
         assert code == 0
         assert data["robust"] is False
 
+    def test_bool_part_exits_2(self, capsys):
+        code = main(["classify", "--r", "3", "--Q", "[[true,2]]"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "boolean" in err
+
     def test_full_universe(self, capsys):
         code, data = run(capsys, "classify", "--r", "4", "--Q", "[[4],[3,1],[2,2],[2,1,1],[1,1,1,1]]")
         assert code == 0
@@ -213,3 +219,15 @@ class TestCliContracts:
         assert cat_a.exists()
         run(capsys, "partitions", "--r", "3", "--config", str(cfg), "--catalog", str(cat_b))
         assert cat_b.exists() and len(cat_a.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "key,value", [("budget_s", "abc"), ("budget_s", True), ("edge_cap", True), ("edge_cap", "abc")]
+    )
+    def test_bad_config_values_exit_2(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]", "--config", str(cfg)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and key in err and len(err.strip().splitlines()) == 1

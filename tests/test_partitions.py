@@ -36,6 +36,10 @@ class TestPartitionBasics:
         with pytest.raises(ValueError):
             as_partition([])
 
+    def test_rejects_bool_parts(self):
+        with pytest.raises(ValueError):
+            PatternSet.of(3, [[True, 2]])
+
     def test_extremes(self):
         assert monochromatic(4) == (4,)
         assert rainbow(4) == (1, 1, 1, 1)

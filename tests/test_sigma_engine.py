@@ -291,6 +291,35 @@ class TestSpectrum:
             spec = set(sigma_spectrum(both, q31).feasible)
             assert spec <= set(sigma_spectrum(s1, q31).feasible) & set(sigma_spectrum(s2, q31).feasible)
 
+    def test_one_pass_matches_per_k_decisions(self):
+        # r in {3, 4}, n <= 3, q <= 3; Q={(3),(1,1,1)} has a gap on H(3,3,3).
+        cases = [
+            (3, [[2, 1]], [[2, 1]]),
+            (3, [[2, 1], [3]], [[3], [2, 1]]),
+            (3, [[3], [1, 1, 1]], [[3], [1, 1, 1]]),
+            (3, [[1, 1, 1]], [[2, 1]]),
+            (4, [[3, 1]], [[3, 1]]),
+            (4, [[2, 2], [2, 1, 1]], [[3, 1], [2, 2]]),
+            (4, [[1, 1, 1, 1]], [[3, 1]]),
+        ]
+        gaps = 0
+        for r, types, q_set in cases:
+            allowed = PatternSet.of(r, q_set)
+            for n in (1, 2, 3):
+                for q in (1, 2, 3):
+                    s = SigmaHypergraph(n, r, q, PatternSet.of(r, types))
+                    spec = sigma_spectrum(s, allowed)
+                    per_k = tuple(k for k in range(1, n * q + 1) if sigma_exists_k(s, allowed, k) is not None)
+                    assert spec.feasible == per_k and not spec.unknown, (r, types, q_set, n, q)
+                    gaps += bool(spec.gaps)
+        assert gaps > 0
+
+    def test_overrun_never_reports_infeasible(self):
+        p4 = enumerate_partitions(4)
+        spec = sigma_spectrum(SigmaHypergraph(10, 4, 10, p4), p4, k_max=30, budget_s=0.0)
+        assert set(spec.feasible) | set(spec.unknown) == set(range(1, 31))
+        assert not set(spec.feasible) & set(spec.unknown)
+
     def test_budget_marks_unknown(self):
         p4 = enumerate_partitions(4)
         s = SigmaHypergraph(10, 4, 10, p4)
