@@ -15,18 +15,18 @@ a definite answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from math import comb
 
-from .budget import BudgetExceeded, Deadline
-from .colouring import Colouring, Spectrum, exists_k_colouring, is_valid, spectrum
+from .budget import BudgetExceeded, Deadline, probe
+from .colouring import Colouring, Spectrum, exists_k_colouring, gap_verdict, is_valid, spectrum
 from .hypergraph import Hypergraph, SigmaHypergraph, build_complete, build_ramsey
 from .partitions import (
     Partition,
     PatternSet,
-    chain,
     classify_robust,
     enumerate_partitions,
     monochromatic,
@@ -42,6 +42,11 @@ def _and3(*flags: bool | None) -> bool | None:
     if any(f is None for f in flags):
         return None
     return True
+
+
+def _not3(flag: bool | None) -> bool | None:
+    """Three-valued negation: unknown stays unknown."""
+    return None if flag is None else not flag
 
 
 def _verdict_str(flag: bool | None) -> str:
@@ -117,12 +122,7 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
     nq = s.vertex_count
     spec = sigma_spectrum(s, allowed, k_max=nq, budget_s=budget_s)
 
-    if len(spec.feasible) >= 2:
-        singleton: bool | None = False
-    elif spec.unknown:
-        singleton = None
-    else:
-        singleton = len(spec.feasible) == 1
+    singleton = _and3(len(spec.feasible) < 2, None if spec.unknown else len(spec.feasible) == 1)
     k0 = spec.feasible[0] if spec.feasible else None
 
     unique: bool | None = None
@@ -142,13 +142,7 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
 
     # Removing p breaks colourability iff no k admits a valid distribution
     # under the reduced set: one search over every k, stopped at the first.
-    minimality: list[tuple[Partition, bool | None]] = []
-    for p in allowed:
-        try:
-            flag: bool | None = sigma_colourable(s, allowed.without(p), deadline=Deadline(budget_s)) is None
-        except BudgetExceeded:
-            flag = None
-        minimality.append((p, flag))
+    minimality = [(p, _not3(probe(sigma_colourable, s, allowed.without(p), budget_s=budget_s))) for p in allowed]
 
     # k is the least feasible count: the spectrum value itself when singleton,
     # and otherwise the count the uniqueness and size conditions ran at.
@@ -244,26 +238,10 @@ def smallest_qualifying(r: int, predicate) -> PatternSet | None:
     return None
 
 
-def _probe_sigma(s: SigmaHypergraph, allowed: PatternSet, k: int, budget_s: float | None) -> bool | None:
-    try:
-        return sigma_exists_k(s, allowed, k, deadline=Deadline(budget_s)) is not None
-    except BudgetExceeded:
-        return None
-
-
-def _probe_explicit(h: Hypergraph, allowed: PatternSet, k: int, budget_s: float | None) -> bool | None:
-    try:
-        return exists_k_colouring(h, k, allowed, deadline=Deadline(budget_s)) is not None
-    except BudgetExceeded:
-        return None
-
-
 def _membership_report(
     claim: str, instance: dict, probes: Sequence[tuple[int, bool]], results: dict[int, bool | None]
 ) -> VerificationReport:
-    flags = [
-        results[k] if want else (None if results[k] is None else not results[k]) for k, want in probes
-    ]
+    flags = [results[k] if want else _not3(results[k]) for k, want in probes]
     detail = {
         "probes": [
             {"k": k, "expected_feasible": want, "observed": _verdict_str(results[k])}
@@ -276,17 +254,11 @@ def _membership_report(
 def _gap_report(claim: str, instance: dict, results: dict[int, bool | None]) -> VerificationReport:
     """Is a gap witnessed among the probed colour counts?
 
-    True needs probed k1 < k2 < k3 with feasible, infeasible, feasible; with
-    unresolved probes in between the verdict degrades to unknown, never false.
+    True needs probed k1 < k2 < k3 with feasible, infeasible, feasible;
+    without such a triple any unresolved probe makes it unknown, never false.
     """
-    ks = sorted(results)
-    feas = [k for k in ks if results[k] is True]
-    confirmed = any(
-        results[k] is False and feas and feas[0] < k < feas[-1] for k in ks
-    )
-    verdict = True if confirmed else (None if any(results[k] is None for k in ks) else False)
-    detail = {"probes": [{"k": k, "feasible": _verdict_str(results[k])} for k in ks]}
-    return VerificationReport(claim, instance, _verdict_str(verdict), detail)
+    detail = {"probes": [{"k": k, "feasible": _verdict_str(results[k])} for k in sorted(results)]}
+    return VerificationReport(claim, instance, _verdict_str(gap_verdict(results)), detail)
 
 
 def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
@@ -308,22 +280,18 @@ def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
         # witness the gap whenever the construction has one.
         return sorted({*claimed, *range(1, min(r + 1, top) + 1), top})
 
+    def run(
+        tag: str, shape: str, instance: dict, top: int, probe_k: Callable[[int], bool | None], probes: list
+    ):
+        results = {k: probe_k(k) for k in probe_set([k for k, _ in probes], top)}
+        claim = f"{tag}: claimed spectrum membership on the {shape}"
+        reports.append(_membership_report(claim, instance, probes, results))
+        reports.append(_gap_report(f"{tag}: a spectrum gap is witnessed among the probed counts", instance, results))
+
     def run_sigma(tag: str, q: PatternSet, s: SigmaHypergraph, probes: list[tuple[int, bool]]):
         instance = {"n": s.n, "r": s.r, "q": s.q, "Sigma": q.to_json(), "Q": q.to_json()}
-        results = {
-            k: _probe_sigma(s, q, k, budget_s) for k in probe_set([k for k, _ in probes], s.vertex_count)
-        }
-        reports.append(
-            _membership_report(
-                f"{tag}: claimed spectrum membership on the class-structured instance",
-                instance,
-                probes,
-                results,
-            )
-        )
-        reports.append(
-            _gap_report(f"{tag}: a spectrum gap is witnessed among the probed counts", instance, results)
-        )
+        probe_k = partial(probe, sigma_exists_k, s, q, budget_s=budget_s)
+        run(tag, "class-structured instance", instance, s.vertex_count, probe_k, probes)
 
     # Both extreme patterns allowed, but the chain is incomplete.
     q1 = smallest_qualifying(
@@ -333,19 +301,13 @@ def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
         skipped.append({"check": "not-simply-closed", "reason": f"no qualifying pattern set at r={r}"})
     else:
         kh = build_complete(r * r, r)
-        instance = {"vertices": r * r, "r": r, "Q": q1.to_json()}
-        probes = [(1, True), (r * r, True), (r, False)]
-        results = {k: _probe_explicit(kh, q1, k, budget_s) for k in probe_set([1, r * r, r], r * r)}
-        reports.append(
-            _membership_report(
-                "not-simply-closed: claimed spectrum membership on the complete hypergraph",
-                instance,
-                probes,
-                results,
-            )
-        )
-        reports.append(
-            _gap_report("not-simply-closed: a spectrum gap is witnessed among the probed counts", instance, results)
+        run(
+            "not-simply-closed",
+            "complete hypergraph",
+            {"vertices": r * r, "r": r, "Q": q1.to_json()},
+            r * r,
+            lambda k: probe(exists_k_colouring, kh, k, q1, budget_s=budget_s),
+            [(1, True), (r * r, True), (r, False)],
         )
         run_sigma("not-simply-closed", q1, SigmaHypergraph(r * r, r, r, q1), [(1, True), (r**3, True), (r, False)])
         # On the H(r, r, r^2) shape the claimed r-infeasibility does not hold
@@ -440,9 +402,10 @@ def gap_witness_search(
                 s = SigmaHypergraph(n, r, q, sig)
                 cap = s.vertex_count if k_max is None else min(k_max, s.vertex_count)
                 spec = sigma_spectrum(s, allowed, k_max=cap, budget_s=budget_s)
-                if spec.gap_status == "gap":
+                status = spec.gap_status
+                if status == "gap":
                     hits.append(GapHit(n, q, sig, spec))
-                elif spec.gap_status == "unknown":
+                elif status == "unknown":
                     unresolved.append({"n": n, "q": q, "Sigma": sig.to_json()})
     return GapSearchReport(tuple(hits), tuple(unresolved))
 
@@ -459,7 +422,7 @@ class RamseyReport:
     @property
     def holds(self) -> bool | None:
         """True when no colouring with up to k colours exists."""
-        return None if self.colourable is None else not self.colourable
+        return _not3(self.colourable)
 
     def to_json_dict(self) -> dict:
         return {

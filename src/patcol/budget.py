@@ -7,6 +7,7 @@ explicit "unknown" verdict; a budget overrun is never reported as infeasible.
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 
 class BudgetExceeded(Exception):
@@ -24,6 +25,18 @@ class Deadline:
     def check(self) -> None:
         if self.expires_at is not None and time.monotonic() > self.expires_at:
             raise BudgetExceeded(f"time budget exhausted (deadline {self.expires_at:.3f})")
+
+
+def probe(search: Callable[..., object], *args, budget_s: float | None) -> bool | None:
+    """Run ``search(*args, deadline=...)`` under its own budget.
+
+    True when it found a witness, False when it proved there is none, None
+    when the budget ran out first.
+    """
+    try:
+        return search(*args, deadline=Deadline(budget_s)) is not None
+    except BudgetExceeded:
+        return None
 
 
 class _Ticker:

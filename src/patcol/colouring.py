@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .budget import BudgetExceeded, Deadline, _Ticker
+from .budget import Deadline, _Ticker, probe
 from .hypergraph import Hypergraph
 from .partitions import Partition, PatternSet, enumerate_partitions, monochromatic
 
@@ -189,6 +189,18 @@ def exists_k_colouring(
     return None
 
 
+def gap_verdict(results: Mapping[int, bool | None]) -> bool | None:
+    """Gap call over probed colour counts: feasible True, infeasible False, unknown None.
+
+    A gap needs a count proven infeasible between two feasible ones; without
+    one, any unknown count leaves the call unknown, never "no gap".
+    """
+    feasible = [k for k, f in results.items() if f]
+    if feasible and any(results.get(k) is False for k in range(min(feasible) + 1, max(feasible))):
+        return True
+    return None if None in results.values() else False
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Feasible colour counts up to probed_max, with unresolved ks kept apart."""
@@ -225,15 +237,13 @@ class Spectrum:
     @property
     def gap_status(self) -> str:
         """"gap", "no-gap", or "unknown" when unresolved ks block the call."""
-        if self.gaps:
-            return "gap"
-        if len(self.feasible) >= 2 and any(self.chi < u < self.chi_bar for u in self.unknown):
-            return "unknown"
-        return "no-gap"
+        return {True: "gap", False: "no-gap"}.get(self.has_gap, "unknown")
 
     @property
     def has_gap(self) -> bool | None:
-        return {"gap": True, "no-gap": False}.get(self.gap_status)
+        # A probed count neither feasible nor unknown was proven infeasible.
+        results = dict.fromkeys(range(1, self.probed_max + 1), False)
+        return gap_verdict(results | dict.fromkeys(self.unknown) | dict.fromkeys(self.feasible, True))
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,14 +267,8 @@ def spectrum(
         k_max = h.vertex_count
     if not 1 <= k_max <= h.vertex_count:
         raise ValueError(f"need 1 <= k_max <= {h.vertex_count}, got {k_max}")
-    feasible, unknown = [], []
-    for k in range(1, k_max + 1):
-        try:
-            if exists_k_colouring(h, k, allowed, deadline=Deadline(budget_s)) is not None:
-                feasible.append(k)
-        except BudgetExceeded:
-            unknown.append(k)
-    return Spectrum(tuple(feasible), k_max, tuple(unknown))
+    found = {k: probe(exists_k_colouring, h, k, allowed, budget_s=budget_s) for k in range(1, k_max + 1)}
+    return Spectrum(tuple(k for k, f in found.items() if f), k_max, tuple(k for k, f in found.items() if f is None))
 
 
 def classical_chromatic_number(h: Hypergraph, budget_s: float | None = None) -> int:

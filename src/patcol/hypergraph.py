@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
-from typing import Iterable
+from itertools import chain, combinations, product
+from math import comb, factorial, perm, prod
+from typing import Iterable, Iterator
 
 from .partitions import Partition, PatternSet, as_partition
 
@@ -135,25 +136,24 @@ def edge_type(s: SigmaHypergraph, edge: Iterable[int]) -> Partition:
 
 
 def _sigma_edge_count(s: SigmaHypergraph) -> int:
-    total = 0
-    for t in s.realizable_types():
-        ways = 1
-        remaining = s.n
-        # Group equal parts: equal-size parts go to strictly increasing
-        # classes, so each size group contributes one class combination.
-        i = 0
-        while i < len(t):
-            j = i
-            while j < len(t) and t[j] == t[i]:
-                j += 1
-            mult = j - i
-            ways *= comb(remaining, mult)
-            remaining -= mult
-            i = j
-        for a in t:
-            ways *= comb(s.q, a)
-        total += ways
-    return total
+    # Ordered class choices, divided by the orders of equal parts, times the
+    # vertex choices within each class.
+    return sum(
+        perm(s.n, len(t)) // prod(map(factorial, Counter(t).values())) * prod(comb(s.q, a) for a in t)
+        for t in s.realizable_types()
+    )
+
+
+def _class_placements(t: Partition, n: int, taken: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Distinct classes for the parts of t, equal parts taking increasing classes."""
+    i = len(taken)
+    if i == len(t):
+        yield taken
+        return
+    start = taken[-1] + 1 if i and t[i - 1] == t[i] else 0
+    for cls in range(start, n):
+        if cls not in taken:
+            yield from _class_placements(t, n, taken + (cls,))
 
 
 def build_sigma_explicit(s: SigmaHypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Hypergraph:
@@ -169,37 +169,12 @@ def build_sigma_explicit(s: SigmaHypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -
             f"explicit construction needs {count} edges, above the cap of {edge_cap}; "
             "use the implicit engine instead"
         )
-    edges: list[tuple[int, ...]] = []
-
-    def place(parts: tuple[int, ...], lowest_class: dict[int, int], available: list[int], chosen: list[int]):
-        if not parts:
-            pick_vertices(chosen, 0, ())
-            return
-        a = parts[0]
-        floor = lowest_class.get(a, -1)
-        for idx, cls in enumerate(available):
-            if cls <= floor:
-                continue
-            rest_avail = available[:idx] + available[idx + 1 :]
-            old = lowest_class.get(a, -1)
-            lowest_class[a] = cls
-            place(parts[1:], lowest_class, rest_avail, chosen + [cls])
-            if old == -1:
-                del lowest_class[a]
-            else:
-                lowest_class[a] = old
-
-    def pick_vertices(classes: list[int], i: int, acc: tuple[int, ...]):
-        if i == len(classes):
-            edges.append(tuple(sorted(acc)))
-            return
-        cls = classes[i]
-        for verts in combinations(s.class_vertices(cls), current_parts[i]):
-            pick_vertices(classes, i + 1, acc + verts)
-
-    for t in s.realizable_types():
-        current_parts = t
-        place(t, {}, list(range(s.n)), [])
+    edges = [
+        tuple(sorted(chain.from_iterable(picks)))
+        for t in s.realizable_types()
+        for classes in _class_placements(t, s.n)
+        for picks in product(*(combinations(s.class_vertices(c), a) for c, a in zip(classes, t)))
+    ]
     return Hypergraph(s.r, s.vertex_count, frozenset(edges))
 
 
@@ -276,12 +251,12 @@ def from_json_dict(data: dict, source: str = "<data>") -> Hypergraph:
         if field not in data:
             raise ValueError(f"{source}: missing field {field!r}")
     r, vertex_count, raw_edges = data["r"], data["vertices"], data["edges"]
-    if not isinstance(r, int) or not isinstance(vertex_count, int) or not isinstance(raw_edges, list):
+    if type(r) is not int or type(vertex_count) is not int or not isinstance(raw_edges, list):
         raise ValueError(f"{source}: fields 'r'/'vertices' must be integers and 'edges' a list")
     seen: set[tuple[int, ...]] = set()
     dupes = 0
     for i, e in enumerate(raw_edges):
-        if not isinstance(e, list) or not all(isinstance(v, int) for v in e):
+        if not isinstance(e, list) or not all(type(v) is int for v in e):
             raise ValueError(f"{source}: edge #{i} is not a list of integers")
         t = tuple(sorted(e))
         if len(t) != r or len(set(t)) != r:

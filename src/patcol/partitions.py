@@ -18,9 +18,10 @@ Partition = tuple[int, ...]
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Canonicalise an iterable of parts to a non-increasing tuple."""
-    t = tuple(sorted(parts, reverse=True))
-    if bool in map(type, t):
-        raise ValueError(f"partition parts must be integers, not booleans, got {list(t)}")
+    t = tuple(parts)
+    if any(type(x) is not int for x in t):
+        raise ValueError(f"partition parts must be integers (not booleans, floats or strings), got {list(t)}")
+    t = tuple(sorted(t, reverse=True))
     if not t:
         raise ValueError("a partition needs at least one part")
     if t[-1] < 1:
@@ -113,10 +114,6 @@ class PatternSet:
     def without(self, p: Iterable[int]) -> "PatternSet":
         return PatternSet(self.r, self.members - {as_partition(p)})
 
-    def issubset(self, other: "PatternSet") -> bool:
-        self._require_same_r(other)
-        return self.members <= other.members
-
     def _require_same_r(self, other: "PatternSet") -> None:
         if self.r != other.r:
             raise ValueError(f"pattern sets have different r: {self.r} vs {other.r}")
@@ -133,23 +130,7 @@ def iter_partitions(r: int) -> Iterator[Partition]:
     """Yield all partitions of r in descending lexicographic order."""
     if r < 1:
         raise ValueError("r must be positive")
-    part = [r]
-    while True:
-        yield tuple(part)
-        # Find the rightmost part > 1; everything after it is a tail of 1s.
-        i = len(part) - 1
-        while i >= 0 and part[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        ones = len(part) - 1 - i
-        part[i] -= 1
-        remainder = ones + 1
-        part = part[: i + 1]
-        while remainder > 0:
-            take = min(part[-1], remainder)
-            part.append(take)
-            remainder -= take
+    return bounded_partitions(r, r, r)
 
 
 def bounded_partitions(m: int, max_parts: int, max_val: int) -> Iterator[Partition]:

@@ -27,7 +27,7 @@ still open is reachable from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterator, Mapping, Sequence
 
 from .budget import BudgetExceeded, Deadline, _Ticker
 from .colouring import Spectrum
@@ -137,9 +137,7 @@ class _Search:
     """The state of one search and the tables built once for it.
 
     ``rows`` are the placed class rows, which a distribution search appends
-    and pops.  Every placement ticks the one ticker.  With a ``collect`` set,
-    placements gather every achievable pattern instead of stopping at the
-    first forbidden one.
+    and pops.  Every placement ticks the one ticker.
     """
 
     def __init__(
@@ -147,16 +145,14 @@ class _Search:
         rows: list[Row],
         q: int,
         sigma_types: Sequence[Partition],
-        allowed_members: frozenset[Partition],
+        allowed_members: AbstractSet[Partition],
         deadline: Deadline | None = None,
-        collect: set[Partition] | None = None,
         count_multisets: Sequence[Partition] = (),
     ):
         self.rows = rows
         self.q = q
         self.allowed = allowed_members
         self.ticker = _Ticker(deadline, stride=256)
-        self.collect = collect
         self.draw_cache: dict[tuple[Row, int], list[Row]] = {}
         # (edge type, part, other parts) for each distinct part of each type;
         # the ban probes are the same splits by part ascending.
@@ -192,16 +188,12 @@ class _Search:
 
         ``taken`` is a bitmask of the classes in use and ``prev`` the class of
         the previous part.  Returns the first (pattern, placement) whose
-        pattern is forbidden, or None; in collect mode always None.
+        pattern is forbidden, or None.
         """
         self.ticker.tick()
         if idx == len(parts):
             pattern = tuple(sorted(totals.values(), reverse=True))
-            if self.collect is not None:
-                self.collect.add(pattern)
-            elif pattern not in self.allowed:
-                return pattern, list(trail)
-            return None
+            return None if pattern in self.allowed else (pattern, list(trail))
         a = parts[idx]
         # Equal parts take strictly increasing classes.
         start = prev + 1 if idx > 0 and parts[idx - 1] == a else 0
@@ -344,12 +336,17 @@ def _placeable_types(d: DistributionMatrix, edge_types: PatternSet) -> list[Part
 
 
 def realizable_patterns(d: DistributionMatrix, edge_types: PatternSet) -> PatternSet:
-    """Every colour pattern achievable by some edge under distribution d."""
+    """Every colour pattern achievable by some edge under distribution d.
+
+    Each pattern found joins the allowed set and the search runs again, until
+    every achievable pattern is allowed.
+    """
     found: set[Partition] = set()
     types = _placeable_types(d, edge_types)
-    search = _Search(d.rows(), d.q, types, frozenset(), collect=found)
+    search = _Search(d.rows(), d.q, types, found)
     for sigma in types:
-        search.place(sigma, 0, d.n, 0, -1, {}, [])
+        while (hit := search.place(sigma, 0, d.n, 0, -1, {}, [])) is not None:
+            found.add(hit[0])
     return PatternSet(edge_types.r, frozenset(found))
 
 

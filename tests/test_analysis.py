@@ -274,6 +274,13 @@ class TestGapSearch:
         with pytest.raises(ValueError):
             gap_witness_search(3, pset(4, (3, 1)), [2], [2])
 
+    def test_budget_overrun_is_unresolved(self):
+        # A zero budget leaves every count unknown: neither a gap nor "no gap".
+        sig = pset(4, (2, 1, 1))
+        report = gap_witness_search(4, pset(4, (3, 1)), [5], [4], sigma_sets=[sig], budget_s=0.0)
+        assert report.hits == ()
+        assert report.unresolved == ({"n": 5, "q": 4, "Sigma": sig.to_json()},)
+
 
 class TestRamseyCheck:
     def test_edge_two_colourings_of_k6_forced(self):

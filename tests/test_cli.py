@@ -50,6 +50,13 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert "boolean" in err
 
+    @pytest.mark.parametrize("q", ['[["a",2]]', "[[2.0,1.0]]"])
+    def test_non_integer_part_exits_2(self, capsys, q):
+        code = main(["classify", "--r", "3", "--Q", q])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_full_universe(self, capsys):
         code, data = run(capsys, "classify", "--r", "4", "--Q", "[[4],[3,1],[2,2],[2,1,1],[1,1,1,1]]")
         assert code == 0
@@ -145,6 +152,15 @@ class TestGapsCommand:
             capsys, "gaps", "--r", "3", "--Q", "[[3],[2,1],[1,1,1]]", "--n-max", "2", "--q-max", "2"
         )
         assert code == 0 and data["hits"] == []
+
+    def test_budget_overrun_is_unresolved_and_exits_3(self, capsys):
+        code, data = run(
+            capsys,
+            "gaps", "--r", "4", "--Q", "[[3,1]]", "--n-min", "5", "--n-max", "5",
+            "--q-min", "4", "--q-max", "4", "--Sigma", "[[2,1,1]]", "--budget", "0",
+        )
+        assert code == 3
+        assert data == {"hits": [], "unresolved": [{"n": 5, "q": 4, "Sigma": [[2, 1, 1]]}]}
 
 
 class TestRamseyCommand:

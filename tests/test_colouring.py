@@ -229,6 +229,9 @@ class TestSpectrum:
         assert spec.gap_status == "unknown" and spec.has_gap is None
         spec2 = Spectrum(feasible=(2, 5), probed_max=5, unknown=(4,))
         assert spec2.gaps == (3,) and spec2.gap_status == "gap"
+        # No gap is proven, so any unknown count leaves the call open.
+        for spec3 in (Spectrum((1, 2), 5, (5,)), Spectrum((), 3, (1, 2, 3))):
+            assert spec3.gap_status == "unknown" and spec3.has_gap is None
 
     def test_json_shape(self):
         spec = spectrum(grid_instance(), Q31, k_max=4)

@@ -196,6 +196,20 @@ class TestFileIO:
         with pytest.raises(ValueError, match="line 2"):
             read_hypergraph(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"r": true, "vertices": 4, "edges": [[0]]}',
+            '{"r": 3, "vertices": true, "edges": []}',
+            '{"r": 3, "vertices": 4, "edges": [[0, true, 2]]}',
+        ],
+    )
+    def test_bools_rejected(self, tmp_path, text):
+        path = tmp_path / "bools.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="integers"):
+            read_hypergraph(str(path))
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "missing.json"
         path.write_text('{"r": 3, "edges": []}')

@@ -40,6 +40,11 @@ class TestPartitionBasics:
         with pytest.raises(ValueError):
             PatternSet.of(3, [[True, 2]])
 
+    @pytest.mark.parametrize("parts", [["a", 2], [2.0, 1.0]])
+    def test_rejects_non_integer_parts(self, parts):
+        with pytest.raises(ValueError, match="must be integers"):
+            PatternSet.of(3, [parts])
+
     def test_extremes(self):
         assert monochromatic(4) == (4,)
         assert rainbow(4) == (1, 1, 1, 1)
