@@ -255,7 +255,8 @@ def _gap_report(claim: str, instance: dict, results: dict[int, bool | None]) -> 
     """Is a gap witnessed among the probed colour counts?
 
     True needs probed k1 < k2 < k3 with feasible, infeasible, feasible;
-    without such a triple any unresolved probe makes it unknown, never false.
+    without such a triple it is unknown while unresolved probes could still
+    form one, and false once they cannot.
     """
     detail = {"probes": [{"k": k, "feasible": _verdict_str(results[k])} for k in sorted(results)]}
     return VerificationReport(claim, instance, _verdict_str(gap_verdict(results)), detail)

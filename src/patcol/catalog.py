@@ -2,8 +2,9 @@
 
 Each record stores a digest of the inputs, the computed result, the engine
 version and the wall time.  Records are never overwritten; when the same
-digest reappears with a different result under a different engine version,
-the new record is appended with a conflict flag and a warning goes to stderr.
+digest reappears with a different result, under any engine version, the new
+record is appended with a conflict flag and a warning goes to stderr (the
+warning names the engine version of the earlier record).
 Corrupt lines are skipped with a warning, never a crash.
 """
 from __future__ import annotations

@@ -4,14 +4,25 @@ A colouring with k colours must use every colour at least once (surjective):
 spectra are only meaningful under exact colour counts, since under "at most k"
 semantics a missing middle value could never occur.
 
-The search is backtracking over vertices in a static degree-descending order
-with canonical colour introduction (vertex may open colour c only if colours
-0..c-1 are already in use), a surjectivity bound, and per-edge feasibility
-pruning: a partially coloured edge survives only if some allowed pattern can
-still dominate its current colour counts.  The returned witness is the first
-assignment found in this order, i.e. the lexicographically least valid
-assignment along the search's vertex order; the contract is that repeated
-runs always return the identical witness.
+The search is backtracking with a dynamic vertex order (DSATUR, Brélaz
+1979): each node branches on the uncoloured vertex with the fewest colours
+left, ties broken by higher degree, then lower index.  A vertex may take
+colour c only if colours 0..c-1 are already in use (canonical colour
+introduction), a surjectivity bound cuts branches that can no longer open
+every colour, and colours are tried in increasing order.
+
+Each edge is held as an interned state, the sorted tuple of its non-zero
+colour counts, with a per-search transition table, so no pattern is re-sorted
+on the hot path.  A partially coloured edge survives only if some usable
+allowed pattern dominates its counts; a complete edge only if its pattern is
+allowed.  Forward checking (Haralick & Elliott 1980) keeps every vertex's
+colour domain: after each assignment the colours that would kill an edge are
+removed from the uncoloured neighbours' domains, and an empty domain is a
+dead end.
+
+The returned witness is the first valid assignment found in this dynamic
+order; the contract is that repeated runs always return the identical
+witness.
 """
 from __future__ import annotations
 
@@ -131,32 +142,65 @@ def exists_k_colouring(
             return None
     else:
         usable = list(allowed)
+    r = h.r
+    allowed_members = allowed.members
 
-    deg = h.degrees()
-    order = sorted(range(nv), key=lambda v: (-deg[v], v))
-    rank = {v: i for i, v in enumerate(order)}
+    # Interned edge states.  sigs[s] is the non-increasing tuple of an edge's
+    # non-zero colour counts; step[s][x] is the state after one of those
+    # counts goes from x to x+1 (-1 until first needed); alive[s] tells
+    # whether an edge in state s can still end in an allowed pattern (exact
+    # membership once complete).  fits[s] is the bitmask of the counts x
+    # whose increment keeps the edge alive, -1 when every increment does or
+    # the edge is complete (nothing to prune), None until first needed.
+    sigs: list[Partition] = []
+    index: dict[Partition, int] = {}
+    step: list[list[int]] = []
+    alive: list[bool] = []
+    fits: list[int | None] = []
+
+    def intern(sig: Partition) -> int:
+        s = index.get(sig)
+        if s is None:
+            s = index[sig] = len(sigs)
+            sigs.append(sig)
+            step.append([-1] * r)
+            complete = sum(sig) == r
+            alive.append(sig in allowed_members if complete else any(_dominates(p, sig) for p in usable))
+            fits.append(-1 if complete else None)
+        return s
+
+    def advance(s: int, x: int) -> int:
+        t = step[s][x]
+        if t < 0:
+            sig = list(sigs[s])
+            if x:
+                sig.remove(x)
+            sig.append(x + 1)
+            sig.sort(reverse=True)
+            t = step[s][x] = intern(tuple(sig))
+        return t
+
+    def fit(s: int) -> int:
+        present = {0, *sigs[s]}
+        f = sum(1 << x for x in present if alive[advance(s, x)])
+        fits[s] = f = -1 if f == sum(1 << x for x in present) else f
+        return f
+
+    state = [intern(())] * len(edges)
+    counts = [[0] * k for _ in edges]
+    colour_of = [-1] * nv
     incident: list[list[int]] = [[] for _ in range(nv)]
     for ei, e in enumerate(edges):
         for v in e:
             incident[v].append(ei)
-    # Per edge: colour counts, number of coloured vertices, and the rank at
-    # which the edge completes (to pick exact membership vs domination).
-    counts = [[0] * k for _ in edges]
-    filled = [0] * len(edges)
-    colour_of = [-1] * nv
-    memo: dict[tuple[int, ...], bool] = {}
-    allowed_members = allowed.members
+    # Domains: bit c of domain[u] is set while u may take colour c without
+    # killing an incident edge; the bits of colours not yet in use are all
+    # equal.  A lone coloured vertex always fits some usable pattern, so
+    # every domain starts full.
+    domain = [(1 << k) - 1] * nv
+    deg = h.degrees()
+    by_degree = sorted(range(nv), key=lambda v: (-deg[v], v))  # DSATUR tie-break
     ticker = _Ticker(deadline, stride=64)
-
-    def edge_ok(ei: int) -> bool:
-        sig = tuple(sorted((x for x in counts[ei] if x > 0), reverse=True))
-        if filled[ei] == h.r:
-            return sig in allowed_members
-        hit = memo.get(sig)
-        if hit is None:
-            hit = any(_dominates(p, sig) for p in usable)
-            memo[sig] = hit
-        return hit
 
     def search(pos: int, used: int) -> bool:
         ticker.tick()
@@ -164,23 +208,69 @@ def exists_k_colouring(
             return used == k
         if k - used > nv - pos:
             return False  # not enough vertices left to open the remaining colours
-        v = order[pos]
-        for c in range(min(used + 1, k)):
+        # Canonical colour introduction: colours 0..used-1, or the fresh `used`.
+        open_ = (1 << min(used + 1, k)) - 1
+        v, best = -1, k + 1
+        for u in by_degree:
+            if colour_of[u] < 0:
+                n = (domain[u] & open_).bit_count()
+                if n < best:
+                    v, best = u, n
+                    if n <= 1:  # forward checking leaves no empty domain to find
+                        break
+        options = domain[v] & open_
+        touched = incident[v]
+        while options:
+            c = (options & -options).bit_length() - 1
+            options &= options - 1
             colour_of[v] = c
+            now_used = max(used, c + 1)
+            now_open = (1 << min(now_used + 1, k)) - 1
+            before = [state[ei] for ei in touched]
+            for ei in touched:
+                row = counts[ei]
+                x = row[c]
+                row[c] = x + 1
+                t = step[state[ei]][x]
+                state[ei] = t if t >= 0 else advance(state[ei], x)
+            # Forward checking: shrink the domains of v's uncoloured
+            # neighbours; an empty one is a dead end.
+            saved: list[tuple[int, int]] = []
             ok = True
-            touched = incident[v]
             for ei in touched:
-                counts[ei][c] += 1
-                filled[ei] += 1
-            for ei in touched:
-                if not edge_ok(ei):
-                    ok = False
+                f = fits[state[ei]]
+                if f is None:
+                    f = fit(state[ei])
+                if f < 0:
+                    continue
+                # Colours absent from the edge all behave like count 0.
+                mask = -1 if f & 1 else 0
+                row = counts[ei]
+                for w in edges[ei]:
+                    cw = colour_of[w]
+                    if cw >= 0:
+                        if f >> row[cw] & 1:
+                            mask |= 1 << cw
+                        else:
+                            mask &= ~(1 << cw)
+                for u in edges[ei]:
+                    if colour_of[u] < 0:
+                        d = domain[u]
+                        if d & mask != d:
+                            saved.append((u, d))
+                            d = domain[u] = d & mask
+                            if not d & now_open:
+                                ok = False
+                                break
+                if not ok:
                     break
-            if ok and search(pos + 1, max(used, c + 1)):
+            if ok and search(pos + 1, now_used):
                 return True
-            for ei in touched:
+            for u, d in reversed(saved):
+                domain[u] = d
+            for ei, s in zip(touched, before):
                 counts[ei][c] -= 1
-                filled[ei] -= 1
+                state[ei] = s
             colour_of[v] = -1
         return False
 
@@ -192,13 +282,19 @@ def exists_k_colouring(
 def gap_verdict(results: Mapping[int, bool | None]) -> bool | None:
     """Gap call over probed colour counts: feasible True, infeasible False, unknown None.
 
-    A gap needs a count proven infeasible between two feasible ones; without
-    one, any unknown count leaves the call unknown, never "no gap".
+    A gap needs a count proven infeasible between two feasible ones.  Without
+    one the call is unknown only while the unknown counts could still make a
+    gap: some a < b < c with a, c feasible or unknown and b infeasible or
+    unknown.  Otherwise no resolution of them has a gap.  Counts missing from
+    ``results`` take no part.
     """
     feasible = [k for k, f in results.items() if f]
     if feasible and any(results.get(k) is False for k in range(min(feasible) + 1, max(feasible))):
         return True
-    return None if None in results.values() else False
+    maybe = [k for k, f in results.items() if f is not False]
+    if maybe and any(results.get(k, True) is not True for k in range(min(maybe) + 1, max(maybe))):
+        return None
+    return False
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patcol.analysis import ramsey_check
 from patcol.budget import BudgetExceeded, Deadline
 from patcol.colouring import (
     Colouring,
@@ -14,8 +16,16 @@ from patcol.colouring import (
     pat,
     spectrum,
 )
-from patcol.hypergraph import SigmaHypergraph, build_complete, build_grid, build_sigma_explicit, make_hypergraph
+from patcol.hypergraph import (
+    SigmaHypergraph,
+    build_complete,
+    build_grid,
+    build_ramsey,
+    build_sigma_explicit,
+    make_hypergraph,
+)
 from patcol.partitions import PatternSet, enumerate_partitions, monochromatic, rainbow
+from patcol.sigma_engine import sigma_exists_k
 
 from oracles import naive_exists_k, naive_spectrum
 
@@ -153,6 +163,24 @@ class TestSearch:
         assert exists_k_colouring(h, 3, q) is None
         assert exists_k_colouring(h, 9, q) is not None
 
+    def test_k9_ramsey_three_colouring(self):
+        # R(3,3,3) = 17, so K9 has many 3-colourings without a monochromatic
+        # triangle; the search must find one well inside the budget.
+        no_mono = enumerate_partitions(3).without(monochromatic(3))
+        first = ramsey_check(9, 2, 3, 3, no_mono, budget_s=10)
+        second = ramsey_check(9, 2, 3, 3, no_mono, budget_s=10)
+        assert first.colourable is True
+        assert is_valid(build_ramsey(9, 2, 3), first.witness, no_mono).ok
+        assert first.witness == second.witness
+
+    def test_extreme_pair_h339_refuted_at_nine_and_ten(self):
+        q = pset(3, (3,), (1, 1, 1))
+        s = SigmaHypergraph(3, 3, 9, q)
+        h = build_sigma_explicit(s)
+        for k in (9, 10):
+            assert exists_k_colouring(h, k, q, deadline=Deadline(10)) is None
+            assert sigma_exists_k(s, q, k) is None
+
     def test_k_bounds_validated(self):
         h = build_complete(4, 3)
         for bad in (0, 5):
@@ -174,7 +202,7 @@ class TestSearch:
         from itertools import combinations
 
         nv = rng.randint(3, 7)
-        r = rng.choice([2, 3])
+        r = rng.choice([2, 3, 4])
         pool = list(combinations(range(nv), r))
         edges = rng.sample(pool, min(len(pool), rng.randint(0, 8)))
         h = make_hypergraph(r, nv, edges)
@@ -232,6 +260,26 @@ class TestSpectrum:
         # No gap is proven, so any unknown count leaves the call open.
         for spec3 in (Spectrum((1, 2), 5, (5,)), Spectrum((), 3, (1, 2, 3))):
             assert spec3.gap_status == "unknown" and spec3.has_gap is None
+
+    def test_gap_call_equals_resolving_every_unknown(self):
+        # "gap" or "no-gap" exactly when every way of settling the unknown
+        # counts gives that answer, "unknown" otherwise: all 1092 assignments
+        # of feasible / infeasible / unknown to k = 1..m, m <= 6.
+        cases = 0
+        for m in range(1, 7):
+            for values in product((True, False, None), repeat=m):
+                feasible = {k for k, f in enumerate(values, 1) if f}
+                unknown = [k for k, f in enumerate(values, 1) if f is None]
+                spec = Spectrum(tuple(sorted(feasible)), m, tuple(unknown))
+                outcomes = set()
+                for settled in product((True, False), repeat=len(unknown)):
+                    found = feasible | {k for k, f in zip(unknown, settled) if f}
+                    outcomes.add(bool(found) and len(found) < max(found) - min(found) + 1)
+                assert spec.has_gap == (outcomes.pop() if len(outcomes) == 1 else None), values
+                cases += 1
+        assert cases == 1092
+        # Gap-free however the unknown k=3 resolves.
+        assert Spectrum((1, 2), 3, (3,)).gap_status == "no-gap"
 
     def test_json_shape(self):
         spec = spectrum(grid_instance(), Q31, k_max=4)
