@@ -15,14 +15,13 @@ a definite answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from math import comb
 
-from .budget import BudgetExceeded, Deadline, probe
-from .colouring import Colouring, Spectrum, exists_k_colouring, gap_verdict, is_valid, spectrum
+from .budget import BudgetExceeded, Deadline, collect, probe
+from .colouring import Colouring, Spectrum, gap_verdict, is_valid, search_colourings
 from .hypergraph import Hypergraph, SigmaHypergraph, build_complete, build_ramsey
 from .partitions import (
     Partition,
@@ -32,7 +31,7 @@ from .partitions import (
     monochromatic,
     rainbow,
 )
-from .sigma_engine import enumerate_valid_distributions, sigma_colourable, sigma_exists_k, sigma_spectrum
+from .sigma_engine import enumerate_valid_distributions, sigma_colourable, sigma_search, sigma_spectrum
 
 
 def _and3(*flags: bool | None) -> bool | None:
@@ -266,9 +265,11 @@ def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
     """Run the three gap constructions for non-robust pattern sets at one r.
 
     For each construction the smallest qualifying pattern set is selected and
-    the claimed feasible / infeasible colour counts are probed, each under its
-    own time budget.  At r=3 only the not-simply-closed case has a qualifying
-    set; the other two first qualify at r=4.
+    the claimed feasible / infeasible colour counts are probed: each
+    instance's probe set is settled by one search under one time budget, and
+    counts still open when it runs out are unknown.  At r=3 only the
+    not-simply-closed case has a qualifying set; the other two first qualify
+    at r=4.
     """
     if r not in (3, 4):
         raise ValueError("constructions are verified at r=3 and r=4 only")
@@ -282,17 +283,17 @@ def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
         return sorted({*claimed, *range(1, min(r + 1, top) + 1), top})
 
     def run(
-        tag: str, shape: str, instance: dict, top: int, probe_k: Callable[[int], bool | None], probes: list
+        tag: str, shape: str, instance: dict, top: int, search: Callable, structure, q: PatternSet, probes: list
     ):
-        results = {k: probe_k(k) for k in probe_set([k for k, _ in probes], top)}
+        targets = probe_set([k for k, _ in probes], top)
+        results = collect(search, structure, q, targets=targets, budget_s=budget_s)
         claim = f"{tag}: claimed spectrum membership on the {shape}"
         reports.append(_membership_report(claim, instance, probes, results))
         reports.append(_gap_report(f"{tag}: a spectrum gap is witnessed among the probed counts", instance, results))
 
     def run_sigma(tag: str, q: PatternSet, s: SigmaHypergraph, probes: list[tuple[int, bool]]):
         instance = {"n": s.n, "r": s.r, "q": s.q, "Sigma": q.to_json(), "Q": q.to_json()}
-        probe_k = partial(probe, sigma_exists_k, s, q, budget_s=budget_s)
-        run(tag, "class-structured instance", instance, s.vertex_count, probe_k, probes)
+        run(tag, "class-structured instance", instance, s.vertex_count, sigma_search, s, q, probes)
 
     # Both extreme patterns allowed, but the chain is incomplete.
     q1 = smallest_qualifying(
@@ -307,7 +308,9 @@ def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
             "complete hypergraph",
             {"vertices": r * r, "r": r, "Q": q1.to_json()},
             r * r,
-            lambda k: probe(exists_k_colouring, kh, k, q1, budget_s=budget_s),
+            search_colourings,
+            kh,
+            q1,
             [(1, True), (r * r, True), (r, False)],
         )
         run_sigma("not-simply-closed", q1, SigmaHypergraph(r * r, r, r, q1), [(1, True), (r**3, True), (r, False)])
@@ -443,9 +446,10 @@ def ramsey_check(
 
     Unlike spectra, this check uses at-most-k semantics, because an edge
     colouring of the underlying complete hypergraph need not use all k
-    colours; it is implemented as feasibility of each j <= k.  The allowed set
-    must exclude the monochromatic pattern of the bundle uniformity, otherwise
-    the statement under test is vacuously false.
+    colours; it is one search over the targets 1..k under one budget, and the
+    witness is the first colouring it finds, whatever its count.  The allowed
+    set must exclude the monochromatic pattern of the bundle uniformity,
+    otherwise the statement under test is vacuously false.
     """
     uniformity = comb(p, r)
     if allowed.r != uniformity:
@@ -453,13 +457,12 @@ def ramsey_check(
     if monochromatic(uniformity) in allowed:
         raise ValueError("the monochromatic pattern must be excluded for a meaningful check")
     h = build_ramsey(n, r, p)
-    unknown = False
-    for j in range(1, min(k, h.vertex_count) + 1):
-        try:
-            w = exists_k_colouring(h, j, allowed, deadline=Deadline(budget_s))
-        except BudgetExceeded:
-            unknown = True
-            continue
-        if w is not None:
-            return RamseyReport(n, r, p, k, True, w)
-    return RamseyReport(n, r, p, k, None if unknown else False, None)
+    first: list[Colouring] = []
+
+    def settle(w: Colouring) -> bool:
+        first.append(w)
+        return True
+
+    targets = set(range(1, min(k, h.vertex_count) + 1))
+    colourable = probe(search_colourings, h, allowed, targets, settle, budget_s=budget_s)
+    return RamseyReport(n, r, p, k, colourable, first[0] if first else None)

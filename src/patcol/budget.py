@@ -7,7 +7,7 @@ explicit "unknown" verdict; a budget overrun is never reported as infeasible.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
 
 class BudgetExceeded(Exception):
@@ -37,6 +37,32 @@ def probe(search: Callable[..., object], *args, budget_s: float | None) -> bool 
         return search(*args, deadline=Deadline(budget_s)) is not None
     except BudgetExceeded:
         return None
+
+
+def collect(
+    search: Callable[..., object], *args, targets: Iterable[int], budget_s: float | None
+) -> dict[int, bool | None]:
+    """Settle a set of colour counts with one search under one budget.
+
+    Runs ``search(*args, open_counts, found, deadline=...)``, which reports
+    each witness whose count ``w.k`` is still open through ``found``; that
+    count is settled and the search stops once none is open.  Returns
+    ``{k: True | False | None}``: True when a witness was found, False when
+    the search ended without one, None when the budget ran out first.
+    """
+    open_counts = set(targets)
+    results: dict[int, bool | None] = dict.fromkeys(sorted(open_counts), False)
+
+    def found(witness) -> bool:
+        results[witness.k] = True
+        open_counts.discard(witness.k)
+        return not open_counts
+
+    try:
+        search(*args, open_counts, found, deadline=Deadline(budget_s))
+    except BudgetExceeded:
+        results.update(dict.fromkeys(open_counts))
+    return results
 
 
 class _Ticker:

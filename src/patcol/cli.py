@@ -110,11 +110,15 @@ def _json_or_file(text: str):
         raise ValueError(f"cannot parse JSON argument {text!r}: {exc}") from exc
 
 
-def _pattern_set(text: str, r: int) -> PatternSet:
+def _json_list(text: str) -> list:
     data = _json_or_file(text)
     if not isinstance(data, list):
         raise ValueError(f"expected a JSON array of partitions, got {text!r}")
-    return PatternSet.from_json(r, data)
+    return data
+
+
+def _pattern_set(text: str, r: int) -> PatternSet:
+    return PatternSet.from_json(r, _json_list(text))
 
 
 def _sigma_params(text: str) -> tuple[int, int, int]:
@@ -135,12 +139,18 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _sigma_arg(args) -> SigmaHypergraph:
+    """The class-structured hypergraph given by --sigma and --Sigma."""
+    if not args.sigma or not args.Sigma:
+        raise ValueError("give --sigma n=..,r=..,q=.. with --Sigma")
+    n, r, q = _sigma_params(args.sigma)
+    return SigmaHypergraph(n, r, q, _pattern_set(args.Sigma, r))
+
+
 def _load_hypergraph_arg(args, cfg: Config) -> Hypergraph:
     if args.file:
         return read_hypergraph(args.file)
-    n, r, q = _sigma_params(args.sigma)
-    s = SigmaHypergraph(n, r, q, _pattern_set(args.Sigma, r))
-    return build_sigma_explicit(s, edge_cap=cfg.edge_cap)
+    return build_sigma_explicit(_sigma_arg(args), edge_cap=cfg.edge_cap)
 
 
 def _cmd_partitions(args, cfg) -> tuple[dict, bool]:
@@ -163,7 +173,20 @@ def _cmd_classify(args, cfg) -> tuple[dict, bool]:
     return {"r": args.r, "Q": q.to_json(), **report.to_json()}, False
 
 
+# The flags each build kind needs (argparse destinations).
+_BUILD_NEEDS = {
+    "complete": ("n", "r"),
+    "ramsey": ("n", "r", "p"),
+    "grid": ("rows", "cols", "cell_size", "row_patterns", "col_patterns", "r"),
+    "family": ("family", "r"),
+    "sigma": ("sigma", "Sigma"),
+}
+
+
 def _cmd_build(args, cfg) -> tuple[dict, bool]:
+    missing = [f"--{name.replace('_', '-')}" for name in _BUILD_NEEDS[args.kind] if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"build --kind {args.kind} needs {', '.join(missing)}")
     if args.kind == "complete":
         h = build_complete(args.n, args.r)
     elif args.kind == "ramsey":
@@ -180,9 +203,8 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
         }
         fam = build_family(args.family, args.r, **params)
         return {"r": args.r, "family": args.family, "patterns": fam.to_json()}, False
-    elif args.kind == "sigma":
-        n, r, q = _sigma_params(args.sigma)
-        s = SigmaHypergraph(n, r, q, _pattern_set(args.Sigma, r))
+    else:  # sigma
+        s = _sigma_arg(args)
         if not args.explicit:
             return {
                 "kind": "sigma",
@@ -191,8 +213,6 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
                 "unrealizable_types": s.unrealizable_types().to_json(),
             }, False
         h = build_sigma_explicit(s, edge_cap=cfg.edge_cap)
-    else:
-        raise ValueError(f"unknown build kind {args.kind!r}")
     if args.out:
         write_hypergraph(h, args.out)
         return {"written": args.out, "r": h.r, "vertices": h.vertex_count, "edges": len(h.edges)}, False
@@ -208,9 +228,8 @@ def _cmd_spectrum(args, cfg) -> tuple[dict, bool]:
     else:
         if not args.sigma:
             raise ValueError("give --file, or --sigma with --Sigma")
-        n, r, qsize = _sigma_params(args.sigma)
-        s = SigmaHypergraph(n, r, qsize, _pattern_set(args.Sigma, r))
-        q = _pattern_set(args.Q, r)
+        s = _sigma_arg(args)
+        q = _pattern_set(args.Q, s.r)
         k_max = args.k_max if args.k_max is not None else s.vertex_count
         spec = sigma_spectrum(s, q, k_max=k_max, budget_s=cfg.budget_s)
     return spec.to_json_dict(), bool(spec.unknown)
@@ -221,16 +240,13 @@ def _cmd_clique(args, cfg) -> tuple[dict, bool]:
         h = read_hypergraph(args.file)
         omega = brute_force_clique(h, vertex_cap=args.vertex_cap)
         return {"method": "brute-force", "omega": omega}, False
-    n, r, q = _sigma_params(args.sigma)
-    s = SigmaHypergraph(n, r, q, _pattern_set(args.Sigma, r))
-    result = omega_sigma(s, structure_caps=not args.uncapped)
+    result = omega_sigma(_sigma_arg(args), structure_caps=not args.uncapped)
     return {"method": "k-full", **result.to_json_dict()}, False
 
 
 def _cmd_tight(args, cfg) -> tuple[dict, bool]:
-    n, r, qsize = _sigma_params(args.sigma)
-    s = SigmaHypergraph(n, r, qsize, _pattern_set(args.Sigma, r))
-    q = _pattern_set(args.Q, r) if args.Q else s.edge_types
+    s = _sigma_arg(args)
+    q = _pattern_set(args.Q, s.r) if args.Q else s.edge_types
     report = check_tight(s, q, budget_s=cfg.budget_s)
     return report.to_json_dict(), report.inconclusive
 
@@ -239,7 +255,7 @@ def _cmd_gaps(args, cfg) -> tuple[dict, bool]:
     q = _pattern_set(args.Q, args.r)
     sigma_sets = None
     if args.Sigma:
-        sigma_sets = [PatternSet.from_json(args.r, [p]) for p in _json_or_file(args.Sigma)]
+        sigma_sets = [PatternSet.from_json(args.r, [p]) for p in _json_list(args.Sigma)]
     report = gap_witness_search(
         args.r,
         q,

@@ -20,6 +20,13 @@ colour domain: after each assignment the colours that would kill an edge are
 removed from the uncoloured neighbours' domains, and an empty domain is a
 dead end.
 
+One search serves a set of target colour counts, as in the distribution
+engine: it branches on colours below min(used+1, largest open target),
+prunes a branch once no open target is reachable from it (too few vertices
+left, or no uncoloured vertex able to take a fresh colour), and reports each
+colouring whose count is still open, so a spectrum is one search and each
+refutation is shared by every count.  A single k is the target set {k}.
+
 The returned witness is the first valid assignment found in this dynamic
 order; the contract is that repeated runs always return the identical
 witness.
@@ -27,9 +34,9 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .budget import Deadline, _Ticker, probe
+from .budget import Deadline, _Ticker, collect
 from .hypergraph import Hypergraph
 from .partitions import Partition, PatternSet, enumerate_partitions, monochromatic
 
@@ -123,21 +130,33 @@ def _dominates(pattern: Partition, counts: tuple[int, ...]) -> bool:
     return all(pattern[i] >= counts[i] for i in range(len(counts)))
 
 
-def exists_k_colouring(
-    h: Hypergraph, k: int, allowed: PatternSet, deadline: Deadline | None = None
+def search_colourings(
+    h: Hypergraph,
+    allowed: PatternSet,
+    targets: set[int],
+    found: Callable[[Colouring], bool],
+    deadline: Deadline | None = None,
 ) -> Colouring | None:
-    """Find the canonical valid surjective k-colouring, or report none exists.
+    """One search for valid surjective colourings whose colour count is a target.
 
-    Raises BudgetExceeded if the deadline runs out before a decision.
+    Each colouring found whose count is still in ``targets`` goes to
+    ``found``, which may discard counts from ``targets`` (the search reads
+    them again after each call) and returns True to stop the search.  Returns
+    the colouring that stopped it, or None once the search is exhausted.
+    Raises BudgetExceeded if the deadline runs out first.
     """
     if allowed.r != h.r:
         raise ValueError(f"pattern set is over r={allowed.r}, hypergraph is {h.r}-uniform")
     nv = h.vertex_count
-    if not 1 <= k <= nv:
-        raise ValueError(f"need 1 <= k <= {nv}, got k={k}")
+    for k in targets:
+        if not 1 <= k <= nv:
+            raise ValueError(f"need 1 <= k <= {nv}, got k={k}")
+    if not targets:
+        return None
+    lo, hi = min(targets), max(targets)
     edges = h.sorted_edges()
     if edges:
-        usable = [p for p in allowed if len(p) <= k]
+        usable = [p for p in allowed if len(p) <= hi]
         if not usable:
             return None
     else:
@@ -187,7 +206,7 @@ def exists_k_colouring(
         return f
 
     state = [intern(())] * len(edges)
-    counts = [[0] * k for _ in edges]
+    counts = [[0] * hi for _ in edges]
     colour_of = [-1] * nv
     incident: list[list[int]] = [[] for _ in range(nv)]
     for ei, e in enumerate(edges):
@@ -197,27 +216,44 @@ def exists_k_colouring(
     # killing an incident edge; the bits of colours not yet in use are all
     # equal.  A lone coloured vertex always fits some usable pattern, so
     # every domain starts full.
-    domain = [(1 << k) - 1] * nv
+    domain = [(1 << hi) - 1] * nv
     deg = h.degrees()
     by_degree = sorted(range(nv), key=lambda v: (-deg[v], v))  # DSATUR tie-break
     ticker = _Ticker(deadline, stride=64)
+    stop: Colouring | None = None
 
     def search(pos: int, used: int) -> bool:
+        nonlocal lo, hi, stop
         ticker.tick()
         if pos == nv:
-            return used == k
-        if k - used > nv - pos:
-            return False  # not enough vertices left to open the remaining colours
+            if used not in targets:
+                return False
+            hit = Colouring.of(tuple(colour_of), used)
+            if found(hit) or not targets:
+                stop = hit
+                return True
+            lo, hi = min(targets), max(targets)
+            return False
+        if used > hi or lo - used > nv - pos:
+            return False  # no open target is reachable from here
         # Canonical colour introduction: colours 0..used-1, or the fresh `used`.
-        open_ = (1 << min(used + 1, k)) - 1
-        v, best = -1, k + 1
+        open_ = (1 << min(used + 1, hi)) - 1
+        v, best = -1, hi + 1
+        fresh = 0
         for u in by_degree:
             if colour_of[u] < 0:
-                n = (domain[u] & open_).bit_count()
+                d = domain[u]
+                fresh |= d
+                n = (d & open_).bit_count()
                 if n < best:
                     v, best = u, n
                     if n <= 1:  # forward checking leaves no empty domain to find
                         break
+        else:
+            # Domains only shrink, so when no uncoloured vertex can take the
+            # fresh colour this branch ends with exactly `used` colours.
+            if not fresh >> used & 1 and used not in targets:
+                return False
         options = domain[v] & open_
         touched = incident[v]
         while options:
@@ -225,7 +261,7 @@ def exists_k_colouring(
             options &= options - 1
             colour_of[v] = c
             now_used = max(used, c + 1)
-            now_open = (1 << min(now_used + 1, k)) - 1
+            now_open = (1 << min(now_used + 1, hi)) - 1
             before = [state[ei] for ei in touched]
             for ei in touched:
                 row = counts[ei]
@@ -274,9 +310,19 @@ def exists_k_colouring(
             colour_of[v] = -1
         return False
 
-    if search(0, 0):
-        return Colouring.of(tuple(colour_of), k)
-    return None
+    search(0, 0)
+    return stop
+
+
+def exists_k_colouring(
+    h: Hypergraph, k: int, allowed: PatternSet, deadline: Deadline | None = None
+) -> Colouring | None:
+    """Find the canonical valid surjective k-colouring, or report none exists.
+
+    The ``{k}`` case of :func:`search_colourings`.  Raises BudgetExceeded if
+    the deadline runs out before a decision.
+    """
+    return search_colourings(h, allowed, {k}, lambda _: True, deadline)
 
 
 def gap_verdict(results: Mapping[int, bool | None]) -> bool | None:
@@ -350,21 +396,34 @@ class Spectrum:
         }
 
 
+def collect_spectrum(
+    search: Callable, structure, allowed: PatternSet, k_max: int | None, budget_s: float | None
+) -> Spectrum:
+    """Colour counts 1..k_max (default: all) of either engine, in one search.
+
+    ``search`` is ``search_colourings`` or ``sigma_engine.sigma_search``.  The
+    search runs under a single budget and drops each count once it finds a
+    witness with it, so a refutation is shared by every count still open.  On
+    an overrun the counts found so far are feasible and every count still
+    open is unknown, never infeasible.
+    """
+    nv = structure.vertex_count
+    k_max = nv if k_max is None else k_max
+    if not 1 <= k_max <= nv:
+        raise ValueError(f"need 1 <= k_max <= {nv}, got {k_max}")
+    found = collect(search, structure, allowed, targets=range(1, k_max + 1), budget_s=budget_s)
+    return Spectrum(tuple(k for k, f in found.items() if f), k_max, tuple(k for k, f in found.items() if f is None))
+
+
 def spectrum(
     h: Hypergraph, allowed: PatternSet, k_max: int | None = None, budget_s: float | None = None
 ) -> Spectrum:
-    """Probe every colour count up to k_max (default: all of them).
+    """Feasible colour counts up to k_max via the explicit engine, in one search.
 
-    Each k gets its own budget; an overrun marks that k unknown rather than
-    infeasible.  Probing runs to vertex_count by default, which is the only
-    safe general bound but costs vertex_count search calls.
+    Probing runs to vertex_count by default, which is the only safe general
+    bound.  See :func:`collect_spectrum` for the budget.
     """
-    if k_max is None:
-        k_max = h.vertex_count
-    if not 1 <= k_max <= h.vertex_count:
-        raise ValueError(f"need 1 <= k_max <= {h.vertex_count}, got {k_max}")
-    found = {k: probe(exists_k_colouring, h, k, allowed, budget_s=budget_s) for k in range(1, k_max + 1)}
-    return Spectrum(tuple(k for k, f in found.items() if f), k_max, tuple(k for k, f in found.items() if f is None))
+    return collect_spectrum(search_colourings, h, allowed, k_max, budget_s)
 
 
 def classical_chromatic_number(h: Hypergraph, budget_s: float | None = None) -> int:

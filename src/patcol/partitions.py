@@ -18,7 +18,10 @@ Partition = tuple[int, ...]
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Canonicalise an iterable of parts to a non-increasing tuple."""
-    t = tuple(parts)
+    try:
+        t = tuple(parts)
+    except TypeError:
+        raise ValueError(f"a partition must be a list of parts, got {parts!r}") from None
     if any(type(x) is not int for x in t):
         raise ValueError(f"partition parts must be integers (not booleans, floats or strings), got {list(t)}")
     t = tuple(sorted(t, reverse=True))

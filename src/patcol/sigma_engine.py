@@ -27,10 +27,10 @@ still open is reachable from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterator, Mapping, Sequence
 
-from .budget import BudgetExceeded, Deadline, _Ticker
-from .colouring import Spectrum
+from .budget import Deadline, _Ticker
+from .colouring import Spectrum, collect_spectrum
 from .hypergraph import SigmaHypergraph
 from .partitions import Partition, PatternSet, bounded_partitions
 
@@ -445,31 +445,25 @@ def sigma_colourable(
     return next(_search_distributions(s, allowed, set(range(1, s.vertex_count + 1)), deadline), None)
 
 
+def sigma_search(
+    s: SigmaHypergraph,
+    allowed: PatternSet,
+    targets: set[int],
+    found: Callable[[DistributionMatrix], bool],
+    deadline: Deadline | None = None,
+) -> DistributionMatrix | None:
+    """The distribution engine under the contract of ``colouring.search_colourings``."""
+    return next((m for m in _search_distributions(s, allowed, targets, deadline) if found(m)), None)
+
+
 def sigma_spectrum(
     s: SigmaHypergraph, allowed: PatternSet, k_max: int | None = None, budget_s: float | None = None
 ) -> Spectrum:
     """Feasible colour counts via the distribution engine, in one search.
 
-    The search runs under a single budget and drops each count once it finds
-    a distribution with it.  On an overrun the counts found so far are
-    feasible and every count still open is unknown, never infeasible.
+    See ``colouring.collect_spectrum`` for the budget.
     """
-    if k_max is None:
-        k_max = s.vertex_count
-    if not 1 <= k_max <= s.vertex_count:
-        raise ValueError(f"need 1 <= k_max <= {s.vertex_count}, got {k_max}")
-    open_ks = set(range(1, k_max + 1))
-    feasible = []
-    unknown: tuple[int, ...] = ()
-    try:
-        for m in _search_distributions(s, allowed, open_ks, Deadline(budget_s)):
-            feasible.append(m.k)
-            open_ks.discard(m.k)
-            if not open_ks:
-                break
-    except BudgetExceeded:
-        unknown = tuple(sorted(open_ks))
-    return Spectrum(tuple(sorted(feasible)), k_max, unknown)
+    return collect_spectrum(sigma_search, s, allowed, k_max, budget_s)
 
 
 def enumerate_valid_distributions(
@@ -477,11 +471,15 @@ def enumerate_valid_distributions(
 ) -> Iterator[DistributionMatrix]:
     """All valid exactly-k distributions, canonical, each exactly once.
 
-    Yields in the engine's deterministic search order.  A deadline overrun
-    raises BudgetExceeded after whatever partial output was produced.
+    Yields in the engine's deterministic search order.  The search never
+    reaches one colour-relabelling orbit twice: class order is fixed, and
+    once the rows of classes 0..i-1 are placed, the relabellings that keep
+    them fixed are exactly the permutations within each group of colours
+    with identical placed columns and among the fresh colours.  Row i gives
+    each such group, and the fresh colours, counts that do not increase along
+    ascending colour indices, and each count multiset is assigned to the
+    groups once (equal counts take non-decreasing groups), so given rows
+    0..i-1 each orbit has exactly one row i.  A deadline overrun raises
+    BudgetExceeded after whatever partial output was produced.
     """
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for m in _search_distributions(s, allowed, {k}, deadline):
-        if m.counts not in seen:
-            seen.add(m.counts)
-            yield m
+    return _search_distributions(s, allowed, {k}, deadline)

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patcol.cli import main
 
@@ -247,3 +250,53 @@ class TestCliContracts:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and key in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--r", "3", "--Q", "[5]"],
+            ["gaps", "--r", "3", "--Q", "[[2,1]]", "--n-max", "1", "--q-max", "1", "--Sigma", "5"],
+            ["spectrum", "--sigma", "n=2,r=3,q=2", "--Q", "[[2,1]]"],
+            ["clique", "--sigma", "n=2,r=3,q=2"],
+            ["build", "--kind", "complete"],
+        ],
+    )
+    def test_malformed_input_exits_2_with_one_line(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Arbitrary JSON: scalars, and lists and objects nested up to a few levels.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+
+# Each command reads the fuzzed value as a pattern-set argument, passed as
+# --flag=value so that a value starting with "-" is not taken for a flag; the
+# structures and grids are tiny so a well-formed value decides at once.
+_PATTERN_COMMANDS = [
+    lambda v: ["classify", "--r", "3", f"--Q={v}"],
+    lambda v: ["closure", "--r", "3", f"--rd={v}"],
+    lambda v: ["gaps", "--r", "3", "--Q", "[[2,1]]", "--n-max", "1", "--q-max", "2", f"--Sigma={v}"],
+    lambda v: ["spectrum", "--sigma", "n=1,r=3,q=3", f"--Sigma={v}", f"--Q={v}"],
+    lambda v: ["tight", "--sigma", "n=1,r=3,q=3", "--Sigma", "[[3]]", f"--Q={v}"],
+    lambda v: ["ramsey", "--n", "4", "--r", "2", "--p", "3", "--k", "2", f"--Q={v}"],
+]
+
+
+@given(value=_JSON, command=st.sampled_from(_PATTERN_COMMANDS))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_pattern_arguments_exit_0_or_2_with_one_line(value, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command(json.dumps(value)))
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 3) and err.getvalue() == ""
+        json.loads(out.getvalue())

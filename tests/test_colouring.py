@@ -25,7 +25,7 @@ from patcol.hypergraph import (
     make_hypergraph,
 )
 from patcol.partitions import PatternSet, enumerate_partitions, monochromatic, rainbow
-from patcol.sigma_engine import sigma_exists_k
+from patcol.sigma_engine import sigma_exists_k, sigma_spectrum
 
 from oracles import naive_exists_k, naive_spectrum
 
@@ -173,6 +173,14 @@ class TestSearch:
         assert is_valid(build_ramsey(9, 2, 3), first.witness, no_mono).ok
         assert first.witness == second.witness
 
+    def test_ramsey_witnesses_use_at_most_k_colours(self):
+        no_mono = enumerate_partitions(3).without(monochromatic(3))
+        for n in (5, 6, 7, 8):
+            rep = ramsey_check(n, 2, 3, 3, no_mono, budget_s=10)
+            assert rep.colourable is True and rep.witness.k <= 3, n
+            assert is_valid(build_ramsey(n, 2, 3), rep.witness, no_mono).ok
+        assert ramsey_check(6, 2, 3, 2, no_mono, budget_s=10).colourable is False
+
     def test_extreme_pair_h339_refuted_at_nine_and_ten(self):
         q = pset(3, (3,), (1, 1, 1))
         s = SigmaHypergraph(3, 3, 9, q)
@@ -188,12 +196,13 @@ class TestSearch:
                 exists_k_colouring(h, bad, enumerate_partitions(3))
 
     def test_budget_raises(self):
-        # No-rainbow colouring of a large complete hypergraph at a mid k:
-        # thousands of search nodes, so the deadline fires mid-search.
-        no_rainbow = PatternSet.of(3, [(3,), (2, 1)])
-        h = build_complete(40, 3)
+        # Refuting k=19 on materialised H(12,3,3|{(3),(1,1,1)}) takes far more
+        # than the 64 search nodes between deadline checks, so the deadline
+        # fires mid-search.
+        q = pset(3, (3,), (1, 1, 1))
+        h = build_sigma_explicit(SigmaHypergraph(12, 3, 3, q))
         with pytest.raises(BudgetExceeded):
-            exists_k_colouring(h, 30, no_rainbow, deadline=Deadline(0.0))
+            exists_k_colouring(h, 19, q, deadline=Deadline(0.0))
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -280,6 +289,38 @@ class TestSpectrum:
         assert cases == 1092
         # Gap-free however the unknown k=3 resolves.
         assert Spectrum((1, 2), 3, (3,)).gap_status == "no-gap"
+
+    def test_one_pass_matches_per_k_decisions(self):
+        rng = random.Random(606)
+        from itertools import combinations
+
+        gaps = 0
+        for _ in range(60):
+            r = rng.choice([2, 3, 4])
+            nv = rng.randint(r, 7)
+            pool = list(combinations(range(nv), r))
+            h = make_hypergraph(r, nv, rng.sample(pool, min(len(pool), rng.randint(1, 10))))
+            universe = sorted(enumerate_partitions(r))
+            allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, len(universe)))))
+            spec = spectrum(h, allowed)
+            per_k = tuple(k for k in range(1, nv + 1) if exists_k_colouring(h, k, allowed) is not None)
+            assert spec.feasible == per_k and not spec.unknown, (r, nv, h.edges, allowed)
+            gaps += bool(spec.gaps)
+        assert gaps > 0
+
+    def test_overrun_never_reports_infeasible(self):
+        q = pset(3, (3,), (1, 1, 1))
+        h = build_sigma_explicit(SigmaHypergraph(12, 3, 3, q))
+        spec = spectrum(h, q, budget_s=0.0)
+        assert set(spec.feasible) | set(spec.unknown) == set(range(1, 37))
+        assert not set(spec.feasible) & set(spec.unknown) and spec.unknown
+
+    def test_extreme_pairs_agree_with_distribution_engine(self):
+        q = pset(3, (3,), (1, 1, 1))
+        for n, qsize in ((9, 3), (3, 9)):
+            s = SigmaHypergraph(n, 3, qsize, q)
+            explicit = spectrum(build_sigma_explicit(s), q)
+            assert explicit == sigma_spectrum(s, q) and explicit.gaps, (n, qsize)
 
     def test_json_shape(self):
         spec = spectrum(grid_instance(), Q31, k_max=4)

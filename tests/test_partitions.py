@@ -45,6 +45,11 @@ class TestPartitionBasics:
         with pytest.raises(ValueError, match="must be integers"):
             PatternSet.of(3, [parts])
 
+    @pytest.mark.parametrize("part", [5, None, 2.5])
+    def test_rejects_non_iterable_part(self, part):
+        with pytest.raises(ValueError, match="list of parts"):
+            PatternSet.of(3, [part])
+
     def test_extremes(self):
         assert monochromatic(4) == (4,)
         assert rainbow(4) == (1, 1, 1, 1)

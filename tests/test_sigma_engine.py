@@ -351,6 +351,25 @@ class TestEnumerateDistributions:
             assert dist_valid(m, types, allowed).ok
             assert m.k == 2
 
+    def test_no_orbit_yielded_twice(self):
+        # The search is canonical by construction; nothing deduplicates it.
+        yielded = 0
+        for r in (3, 4):
+            universe = sorted(enumerate_partitions(r))
+            for n in range(1, 4):
+                for q in range(1, 4):
+                    for types, q_set in (
+                        (universe[:2], universe[1:3]),
+                        (universe[-2:], universe),
+                        (universe, universe[:-1]),
+                    ):
+                        s = SigmaHypergraph(n, r, q, PatternSet.of(r, types))
+                        for k in range(1, min(6, n * q) + 1):
+                            mats = [m.counts for m in enumerate_valid_distributions(s, PatternSet.of(r, q_set), k)]
+                            assert len(mats) == len(set(mats)), (r, n, q, types, q_set, k)
+                            yielded += len(mats)
+        assert yielded > 2000
+
     def test_matches_brute_count_up_to_relabelling(self):
         rng = random.Random(5)
         from itertools import product
