@@ -13,7 +13,7 @@ Library layout:
 - cli: command-line entry point
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .colouring import Colouring, Spectrum
 from .hypergraph import Hypergraph, SigmaHypergraph

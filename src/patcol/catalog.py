@@ -9,6 +9,7 @@ Corrupt lines are skipped with a warning, never a crash.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -72,21 +73,26 @@ def _iter_entries(path: str):
 
 
 def catalog_append(entry: CatalogEntry, path: str) -> CatalogEntry:
-    """Append an entry; flag it when an earlier record disagrees on the result."""
-    conflict = entry.conflict
-    for prior in _iter_entries(path):
-        if prior.input_digest == entry.input_digest and prior.result != entry.result:
-            conflict = True
-            print(
-                f"warning: catalogue digest {entry.input_digest[:12]} already has a different result "
-                f"(engine {prior.engine_version}); keeping both",
-                file=sys.stderr,
-            )
-            break
-    flagged = CatalogEntry(
-        entry.input_digest, entry.result, entry.engine_version, entry.wall_time_s, entry.command, conflict
-    )
+    """Append an entry; flag it when an earlier record disagrees on the result.
+
+    An exclusive lock on the file covers the scan and the append, so
+    concurrent writers neither interleave lines nor miss each other's records.
+    """
     with open(path, "a", encoding="utf-8") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file is closed
+        conflict = entry.conflict
+        for prior in _iter_entries(path):
+            if prior.input_digest == entry.input_digest and prior.result != entry.result:
+                conflict = True
+                print(
+                    f"warning: catalogue digest {entry.input_digest[:12]} already has a different result "
+                    f"(engine {prior.engine_version}); keeping both",
+                    file=sys.stderr,
+                )
+                break
+        flagged = CatalogEntry(
+            entry.input_digest, entry.result, entry.engine_version, entry.wall_time_s, entry.command, conflict
+        )
         fh.write(canonical_json(flagged.to_json_dict()) + "\n")
     return flagged
 

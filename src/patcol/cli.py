@@ -285,6 +285,13 @@ def _cmd_verify(args, cfg) -> tuple[dict, bool]:
     return payload, has_unknown
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage block, and exits 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--edge-cap", type=int, dest="edge_cap", help="explicit edge cap")
     common.add_argument("--catalog", help="append results to this catalogue file")
 
-    parser = argparse.ArgumentParser(prog="patcol", description=__doc__)
+    parser = _Parser(prog="patcol", description=__doc__)
     parser.add_argument("--version", action="version", version=f"patcol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

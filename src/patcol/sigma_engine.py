@@ -23,6 +23,16 @@ One search serves a whole set of target colour counts: rows are enumerated
 the same way whatever the target, which only caps the number of fresh
 colours, so a spectrum is one pass that prunes a branch only when no target
 still open is reachable from it.
+
+The decision searches (``sigma_exists_k``, ``sigma_colourable``,
+``sigma_search``) also quotient class order, since permuting classes maps
+valid matrices to valid ones with the same k.  Rows come sorted by count
+multiset and, within a run of equal multisets, lex-descending as dense count
+vectors (double-lex order).  Every orbit has such a column-canonical member:
+row multisets survive column permutations, and sorting a run's rows or
+sorting the columns only raises the row-major flattening, so alternating the
+two sorts ends in a matrix ordered both ways.  ``enumerate_valid_distributions``
+keeps class order.
 """
 from __future__ import annotations
 
@@ -244,8 +254,8 @@ class _Search:
                 return a
         return self.q + 1
 
-    def candidate_rows(self, used: int, max_fresh: int) -> Iterator[tuple[Row, int]]:
-        """Canonical next-class rows, as (row, colours used after this row).
+    def candidate_rows(self, used: int, max_fresh: int, first: int | None) -> Iterator[tuple[Row, int, int]]:
+        """Canonical next-class rows, as (row, colours used after this row, count multiset index).
 
         Rows are enumerated as a count multiset (a partition of q, largest-first,
         so monochromatic reuse comes first) followed by an assignment of counts to
@@ -253,6 +263,11 @@ class _Search:
         group counts fall non-increasingly along ascending colour indices, at most
         max_fresh fresh colours trail behind the existing ones, and per-colour
         caps derived from single-colour draw violations cut reuse early.
+
+        With ``first`` None every count multiset is tried.  Otherwise classes
+        come in canonical order: only multisets from index ``first`` (the last
+        placed row's) on, and a row with the last row's multiset may not exceed
+        it as a dense count vector in lex order.
         """
         q = self.q
         columns = [[0] * len(self.rows) for _ in range(used)]
@@ -271,54 +286,55 @@ class _Search:
         caps = [min(q, self.ban_threshold(g[0]) - 1) for g in groups]
         fresh_cap = min(q, self.ban_threshold(used) - 1) if max_fresh > 0 else 0
         ngroups = len(groups)
+        room = [len(g) for g in groups]
+        last_val = [q] * ngroups
+        # The row being built, dense over every colour it may use; the last
+        # placed row in the same form when the lex order applies.
+        xs = [0] * (used + min(max_fresh, q))
+        prev = None
+        if first is not None and self.rows:
+            prev = [0] * len(xs)
+            for c, v in self.rows[-1]:
+                prev[c] = v
 
         def assign(
-            parts: Partition,
-            pi: int,
-            prev_target: int,
-            room: list[int],
-            last_val: list[int],
-            fresh_used: int,
-            fresh_last: int,
-            acc: list[tuple[int, int]],
+            parts: Partition, pi: int, prev_target: int, fresh_used: int, fresh_last: int, tie: bool
         ) -> Iterator[tuple[Row, int]]:
             if pi == len(parts):
-                row: dict[int, int] = {}
-                fills: dict[int, int] = {}
-                for target, v in acc:
-                    if target == ngroups:
-                        row[used + fills.get(target, 0)] = v
-                    else:
-                        row[groups[target][fills.get(target, 0)]] = v
-                    fills[target] = fills.get(target, 0) + 1
-                yield tuple(sorted(row.items())), used + fills.get(ngroups, 0)
+                yield tuple((c, v) for c, v in enumerate(xs) if v), used + fresh_used
                 return
             v = parts[pi]
             # Equal parts take non-decreasing targets, killing permuted repeats.
             start = prev_target if pi > 0 and parts[pi - 1] == v else 0
             for target in range(start, ngroups + 1):
-                if target == ngroups:
+                fresh = target == ngroups
+                if fresh:
                     if fresh_used >= max_fresh or v > fresh_cap or v > fresh_last:
                         continue
-                    acc.append((target, v))
-                    yield from assign(parts, pi + 1, target, room, last_val, fresh_used + 1, v, acc)
-                    acc.pop()
+                    c = used + fresh_used
                 else:
                     if room[target] == 0 or v > caps[target] or v > last_val[target]:
                         continue
-                    room[target] -= 1
-                    old = last_val[target]
-                    last_val[target] = v
-                    acc.append((target, v))
-                    yield from assign(parts, pi + 1, target, room, last_val, fresh_used, fresh_last, acc)
-                    acc.pop()
-                    last_val[target] = old
-                    room[target] += 1
+                    c = groups[target][-room[target]]
+                xs[c] = v
+                # Unplaced counts only raise xs, so once it exceeds prev the row will.
+                if not (tie and xs > prev):
+                    if fresh:
+                        yield from assign(parts, pi + 1, target, fresh_used + 1, v, tie)
+                    else:
+                        room[target] -= 1
+                        old, last_val[target] = last_val[target], v
+                        yield from assign(parts, pi + 1, target, fresh_used, fresh_last, tie)
+                        last_val[target] = old
+                        room[target] += 1
+                xs[c] = 0
 
         slots = used + max_fresh
-        for lam in self.count_multisets:
-            if len(lam) <= slots:  # every count needs its own colour
-                yield from assign(lam, 0, 0, [len(g) for g in groups], [q] * ngroups, 0, q, [])
+        lams = self.count_multisets
+        for i in range(first or 0, len(lams)):
+            if len(lams[i]) <= slots:  # every count needs its own colour
+                for row, new_used in assign(lams[i], 0, 0, 0, q, prev is not None and i == first):
+                    yield row, new_used, i
 
 
 def _witness_from(sigma: Partition, hit: tuple[Partition, list[tuple[int, Row]]]) -> ForbiddenWitness:
@@ -387,12 +403,14 @@ def _count_multisets(s: SigmaHypergraph, allowed_members: frozenset[Partition]) 
 
 
 def _search_distributions(
-    s: SigmaHypergraph, allowed: PatternSet, targets: set[int], deadline: Deadline | None
+    s: SigmaHypergraph, allowed: PatternSet, targets: set[int], deadline: Deadline | None, *, sort_classes: bool
 ) -> Iterator[DistributionMatrix]:
     """Depth-first generator of valid distributions whose colour count is a target.
 
     ``targets`` is read at every node, so a caller may discard counts between
-    yields: a branch is pruned once no count still in it is reachable.
+    yields: a branch is pruned once no count still in it is reachable.  With
+    ``sort_classes`` only class orders canonical under class permutation are
+    searched (see the module docstring); without it every class order is.
     """
     if allowed.r != s.r:
         raise ValueError(f"pattern set is over r={allowed.r}, structure is {s.r}-uniform")
@@ -405,7 +423,7 @@ def _search_distributions(
     search = _Search([], q, sigma_types, allowed.members, deadline, count_multisets=lams)
     rows = search.rows
 
-    def rec(ci: int, used: int) -> Iterator[DistributionMatrix]:
+    def rec(ci: int, used: int, first: int | None) -> Iterator[DistributionMatrix]:
         search.ticker.tick()
         if ci == n:
             if used in targets:
@@ -414,13 +432,13 @@ def _search_distributions(
         reach = used + (n - ci) * q
         if not any(used <= t <= reach for t in targets):
             return
-        for row, new_used in search.candidate_rows(used, max(targets) - used):
+        for row, new_used, lam in search.candidate_rows(used, max(targets) - used, first):
             rows.append(row)
             if not search.newest_row_violates():
-                yield from rec(ci + 1, new_used)
+                yield from rec(ci + 1, new_used, lam if sort_classes else None)
             rows.pop()
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, 0 if sort_classes else None)
 
 
 def sigma_exists_k(
@@ -431,7 +449,7 @@ def sigma_exists_k(
     Agrees with the explicit engine's search wherever both run; raises
     BudgetExceeded when the deadline passes before a decision.
     """
-    return next(_search_distributions(s, allowed, {k}, deadline), None)
+    return next(_search_distributions(s, allowed, {k}, deadline, sort_classes=True), None)
 
 
 def sigma_colourable(
@@ -442,7 +460,8 @@ def sigma_colourable(
     One search over every colour count; raises BudgetExceeded when the
     deadline passes before a decision.
     """
-    return next(_search_distributions(s, allowed, set(range(1, s.vertex_count + 1)), deadline), None)
+    targets = set(range(1, s.vertex_count + 1))
+    return next(_search_distributions(s, allowed, targets, deadline, sort_classes=True), None)
 
 
 def sigma_search(
@@ -453,7 +472,7 @@ def sigma_search(
     deadline: Deadline | None = None,
 ) -> DistributionMatrix | None:
     """The distribution engine under the contract of ``colouring.search_colourings``."""
-    return next((m for m in _search_distributions(s, allowed, targets, deadline) if found(m)), None)
+    return next((m for m in _search_distributions(s, allowed, targets, deadline, sort_classes=True) if found(m)), None)
 
 
 def sigma_spectrum(
@@ -482,4 +501,4 @@ def enumerate_valid_distributions(
     0..i-1 each orbit has exactly one row i.  A deadline overrun raises
     BudgetExceeded after whatever partial output was produced.
     """
-    return _search_distributions(s, allowed, {k}, deadline)
+    return _search_distributions(s, allowed, {k}, deadline, sort_classes=False)

@@ -1,6 +1,31 @@
+import fcntl
 import json
+import os
+import subprocess
+import sys
+import time
 
 from patcol.catalog import CatalogEntry, catalog_append, catalog_query, digest_inputs
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+# One writer: says it is ready, waits for a common start time, then makes 25
+# appends under one digest, each with its own result; a long result makes
+# each line longer than one write buffer.
+_WRITER = """
+import sys, time
+from patcol.catalog import CatalogEntry, catalog_append
+print("ready", flush=True)
+time.sleep(max(0.0, float(sys.argv[3]) - time.time()))
+for i in range(25):
+    result = {"writer": sys.argv[2], "i": i, "pad": list(range(2000))}
+    catalog_append(CatalogEntry("same", result, "0.0.0", 0.0, command="test"), sys.argv[1])
+"""
+
+
+def writer(path, name: str, start: float, **kwargs) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, "-c", _WRITER, str(path), name, str(start)], env=env, **kwargs)
 
 
 def entry(digest="abc", result=1, version="0.1.0", wall=0.5):
@@ -50,3 +75,27 @@ class TestCatalog:
         err = capsys.readouterr().err
         assert got is not None and got.result == 1
         assert err.count("skipping corrupt") == 2
+
+    def test_concurrent_appends_are_serialised(self, tmp_path):
+        path = tmp_path / "cat.ndjson"
+        start = time.time() + 0.5
+        writers = [writer(path, str(w), start, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) for w in range(4)]
+        for proc in writers:
+            assert proc.wait(timeout=60) == 0
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(records) == 100
+        assert len({(rec["result"]["writer"], rec["result"]["i"]) for rec in records}) == 100
+        # Every scan saw every earlier record, so only the first append found no conflict.
+        assert [rec["conflict"] for rec in records] == [False] + [True] * 99
+
+    def test_append_waits_for_the_lock(self, tmp_path):
+        path = tmp_path / "cat.ndjson"
+        with open(path, "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            proc = writer(path, "0", 0.0, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(0.3)
+            assert proc.poll() is None and path.read_text() == ""
+        assert proc.wait(timeout=60) == 0
+        proc.stdout.close()
+        assert len(path.read_text().splitlines()) == 25

@@ -259,10 +259,17 @@ class TestCliContracts:
             ["spectrum", "--sigma", "n=2,r=3,q=2", "--Q", "[[2,1]]"],
             ["clique", "--sigma", "n=2,r=3,q=2"],
             ["build", "--kind", "complete"],
+            ["build", "--kind", "family", "--r", "3", "--family", "proper"],
+            ["partitions", "--r", "4", "--frobnicate"],
+            ["partitions"],
+            ["classify", "--r", "3", "--Q", "-1e+16"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, argv):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors exit from parse_args
+            code = exc.code
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

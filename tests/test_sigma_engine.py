@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+import time
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from patcol.budget import BudgetExceeded, Deadline
 from patcol.colouring import Colouring, exists_k_colouring, is_valid
 from patcol.hypergraph import SigmaHypergraph, build_sigma_explicit
-from patcol.partitions import PatternSet, enumerate_partitions
+from patcol.partitions import PatternSet, bounded_partitions, enumerate_partitions
 from patcol.sigma_engine import (
     DistributionMatrix,
     cdmc,
@@ -15,6 +16,7 @@ from patcol.sigma_engine import (
     enumerate_valid_distributions,
     realizable_patterns,
     sigma_exists_k,
+    sigma_search,
     sigma_spectrum,
 )
 
@@ -195,6 +197,55 @@ class TestSigmaExistsK:
         with pytest.raises(BudgetExceeded):
             sigma_exists_k(s, p4, 25, deadline=Deadline(0.0))
 
+    def test_budget_overshoot_is_bounded(self):
+        # The r=6 frontier instance is undecided after 0.2 s; the deadline
+        # must stop it promptly, not at the end of some long inner loop.
+        s = SigmaHypergraph(12, 6, 26, pset(6, (5, 1)))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            sigma_exists_k(s, s.edge_types, 11, deadline=Deadline(0.2))
+        assert time.perf_counter() - start < 1.2
+
+    def test_class_order_quotient_matches_enumeration(self):
+        # Decisions search only canonical class orders; enumeration keeps
+        # class order, so it is the oracle for which k are feasible and for
+        # which matrices the decision search may reach.
+        rng = random.Random(31)
+        witnesses = dropped = 0
+        for _ in range(100):
+            r = rng.choice([3, 4])
+            n, q = rng.randint(1, 3), rng.randint(1, 3)
+            universe = sorted(enumerate_partitions(r))
+            types = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 2))))
+            allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 3))))
+            s = SigmaHypergraph(n, r, q, types)
+            order = {lam: i for i, lam in enumerate(bounded_partitions(q, q, q))}
+
+            def canonical_order(m: DistributionMatrix) -> bool:
+                keys = [order[tuple(sorted(filter(None, row), reverse=True))] for row in m.counts]
+                return all(a < b or a == b and x >= y for a, b, x, y in zip(keys, keys[1:], m.counts, m.counts[1:]))
+
+            def orbit(m: DistributionMatrix) -> tuple:
+                return min(DistributionMatrix.from_rows(n, q, p).counts for p in permutations(m.rows()))
+
+            for k in range(1, n * q + 1):
+                every = list(enumerate_valid_distributions(s, allowed, k))
+                searched: list[DistributionMatrix] = []
+                sigma_search(s, allowed, {k}, lambda m: searched.append(m) and False)
+                assert len(searched) == len(set(searched))
+                assert set(searched) == {m for m in every if canonical_order(m)}
+                dropped += len(every) - len(searched)
+                assert {orbit(m) for m in searched} == {orbit(m) for m in every}
+                w = sigma_exists_k(s, allowed, k)
+                assert (w is None) == (not every), (r, n, q, sorted(types), sorted(allowed), k)
+                if w is None:
+                    continue
+                witnesses += 1
+                assert w.k == k and dist_valid(w, types, allowed).ok
+                assert DistributionMatrix.from_rows(n, q, w.rows()) == w
+                assert canonical_order(w), w
+        assert witnesses > 250 and dropped > 1500
+
     def test_deterministic_witness(self):
         q = pset(4, (3, 1))
         s = SigmaHypergraph(4, 4, 3, pset(4, (1, 1, 1, 1)))
@@ -313,6 +364,16 @@ class TestSpectrum:
                     assert spec.feasible == per_k and not spec.unknown, (r, types, q_set, n, q)
                     gaps += bool(spec.gaps)
         assert gaps > 0
+
+    def test_class_symmetric_instances(self):
+        # The explicit engine gives the same spectrum for H(12,3,3) on the
+        # materialised instance, in a few seconds.
+        q = pset(3, (3,), (1, 1, 1))
+        spec = sigma_spectrum(SigmaHypergraph(12, 3, 3, q), q, budget_s=30)
+        assert spec.feasible == (1, *range(12, 37, 2)) and not spec.unknown
+        s = SigmaHypergraph(4, 4, 5, pset(4, (1, 1, 1, 1)))
+        spec = sigma_spectrum(s, pset(4, (3, 1)), budget_s=30)
+        assert spec.feasible == (2, 3, 4, 5, 6) and not spec.unknown
 
     def test_overrun_never_reports_infeasible(self):
         p4 = enumerate_partitions(4)
