@@ -31,7 +31,7 @@ from .partitions import (
     monochromatic,
     rainbow,
 )
-from .sigma_engine import enumerate_valid_distributions, sigma_colourable, sigma_search, sigma_spectrum
+from .sigma_engine import enumerate_valid_distributions, sigma_search, sigma_spectrum
 
 
 def _and3(*flags: bool | None) -> bool | None:
@@ -141,7 +141,11 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
 
     # Removing p breaks colourability iff no k admits a valid distribution
     # under the reduced set: one search over every k, stopped at the first.
-    minimality = [(p, _not3(probe(sigma_colourable, s, allowed.without(p), budget_s=budget_s))) for p in allowed]
+    every_k = set(range(1, nq + 1))
+    minimality = [
+        (p, _not3(probe(sigma_search, s, allowed.without(p), every_k, lambda _: True, budget_s=budget_s)))
+        for p in allowed
+    ]
 
     # k is the least feasible count: the spectrum value itself when singleton,
     # and otherwise the count the uniqueness and size conditions ran at.

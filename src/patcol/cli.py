@@ -14,7 +14,9 @@ which override the optional JSON config file, which overrides defaults.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +42,7 @@ from .hypergraph import (
 from .partitions import (
     FAMILY_KINDS,
     PatternSet,
+    as_partition,
     build_family,
     classify_robust,
     enumerate_partitions,
@@ -62,41 +65,52 @@ class Config:
     catalog_path: str | None = None
 
 
-# Config-file keys with the check their value must pass (bools never pass);
-# null keeps the "none" default of budget_s and catalog_path.
+# Each config key with the check its value must pass (bools never pass),
+# whether it comes from the config file, the environment or a flag; null
+# keeps the "none" default of budget_s and catalog_path.  Then the
+# environment variable that sets the key, how its text is read, and the flag
+# (argparse destination) that sets it.
 _CONFIG_KEYS = {
-    "budget_s": (lambda v: v is None or isinstance(v, (int, float)) and v >= 0, "a number >= 0 or null"),
-    "edge_cap": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
-    "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "budget_s": (
+        lambda v: v is None or isinstance(v, (int, float)) and 0 <= v < math.inf,
+        "a finite number >= 0 or null",
+        "BUDGET",
+        float,
+        "budget",
+    ),
+    "edge_cap": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1", "EDGE_CAP", int, "edge_cap"),
+    "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null", "CATALOG", str, "catalog"),
 }
 
 
 def _load_config(args: argparse.Namespace) -> Config:
     cfg = Config()
+
+    def put(key: str, value, source: str) -> None:
+        ok, expected = _CONFIG_KEYS[key][:2]
+        if isinstance(value, bool) or not ok(value):
+            raise ValueError(f"{source} must be {expected}, got {json.dumps(value)}")
+        setattr(cfg, key, value)
+
     path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        for key, (ok, expected) in _CONFIG_KEYS.items():
+        for key in _CONFIG_KEYS:
             if key in data:
-                value = data[key]
-                if isinstance(value, bool) or not ok(value):
-                    raise ValueError(f"{path}: config key {key!r} must be {expected}, got {json.dumps(value)}")
-                setattr(cfg, key, value)
-    if ENV_PREFIX + "BUDGET" in os.environ:
-        cfg.budget_s = float(os.environ[ENV_PREFIX + "BUDGET"])
-    if ENV_PREFIX + "EDGE_CAP" in os.environ:
-        cfg.edge_cap = int(os.environ[ENV_PREFIX + "EDGE_CAP"])
-    if ENV_PREFIX + "CATALOG" in os.environ:
-        cfg.catalog_path = os.environ[ENV_PREFIX + "CATALOG"]
-    if args.budget is not None:
-        cfg.budget_s = args.budget
-    if args.edge_cap is not None:
-        cfg.edge_cap = args.edge_cap
-    if args.catalog is not None:
-        cfg.catalog_path = args.catalog
+                put(key, data[key], f"{path}: config key {key!r}")
+    for key, (_, _, env, read, flag) in _CONFIG_KEYS.items():
+        if ENV_PREFIX + env in os.environ:
+            text = os.environ[ENV_PREFIX + env]
+            try:
+                value = read(text)
+            except ValueError:
+                value = text
+            put(key, value, ENV_PREFIX + env)
+        if getattr(args, flag) is not None:
+            put(key, getattr(args, flag), "--" + flag.replace("_", "-"))
     return cfg
 
 
@@ -387,12 +401,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _canonical_inputs(args, cfg: Config) -> dict:
+    """The inputs of a run in canonical form, so the digest names the computation, not its spelling.
+
+    Pattern flags become sorted pattern sets (the type list of ``gaps
+    --Sigma`` keeps its order, which orders the report), ``--sigma`` becomes
+    (n, r, q), ``--file`` and ``@file`` inputs count by content, the budget
+    and edge cap are the effective ones, and the config and catalogue paths
+    are left out.
+    """
+    skip = ("handler", "config", "catalog", "budget", "edge_cap")
+    inputs = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    for key in ("Q", "Sigma", "rd", "ex", "row_patterns", "col_patterns"):
+        if key in inputs:
+            patterns = [as_partition(p) for p in _json_list(inputs[key])]
+            inputs[key] = patterns if (args.command, key) == ("gaps", "Sigma") else sorted(set(patterns))
+    if "sigma" in inputs:
+        inputs["sigma"] = _sigma_params(inputs["sigma"])
+    if "file" in inputs:
+        with open(inputs["file"], "rb") as fh:
+            inputs["file"] = hashlib.sha256(fh.read()).hexdigest()
+    return {**inputs, "budget_s": cfg.budget_s, "edge_cap": cfg.edge_cap}
+
+
 def _catalogue(args, cfg: Config, payload: dict, wall_time_s: float) -> None:
     if not cfg.catalog_path:
         return
-    inputs = {k: v for k, v in vars(args).items() if k not in ("handler",) and v is not None}
     entry = CatalogEntry(
-        input_digest=digest_inputs(inputs),
+        input_digest=digest_inputs(_canonical_inputs(args, cfg)),
         result=payload,
         engine_version=__version__,
         wall_time_s=round(wall_time_s, 6),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .hypergraph import Hypergraph, SigmaHypergraph
-from .partitions import Partition, PatternSet, bounded_partitions, monochromatic, rainbow
+from .partitions import Partition, PatternSet, bounded_partitions, dominates, iter_partitions, monochromatic, rainbow
 
 
 class VertexCapExceeded(Exception):
@@ -35,50 +35,26 @@ class KFullWitness:
         }
 
 
-def _draw_vectors(b: tuple[int, ...], r: int):
-    """All vectors (a_1..a_t) with 0 <= a_i <= b_i summing to r."""
-    t = len(b)
-
-    def rec(i: int, left: int, acc: list[int]):
-        if i == t:
-            if left == 0:
-                yield tuple(acc)
-            return
-        if left > sum(b[i:]):
-            return
-        for a in range(min(b[i], left), -1, -1):
-            acc.append(a)
-            yield from rec(i + 1, left - a, acc)
-            acc.pop()
-
-    yield from rec(0, r, [])
-
-
 def is_k_full(f: PatternSet, k: int, n_cap: int, q_cap: int) -> KFullWitness | None:
     """Search capacity vectors certifying that f is k-full.
 
     Capacity vectors b are non-increasing with at most n_cap entries, each at
     most q_cap, summing to k; the witness requires every draw vector A with
     a_i <= b_i and sum r to have its positive entries form a member of f.
-    Draw vectors are checked exhaustively.
+    Those patterns are exactly the partitions of r that b dominates (the j
+    largest entries of a draw sit in j distinct classes), so each pattern is
+    checked once instead of each draw vector.
     """
     if not f.members:
         raise ValueError("k-fullness is undefined for an empty pattern family")
     r = f.r
     if k < r:
         raise ValueError(f"k-fullness needs k >= r, got k={k}, r={r}")
-    members = f.members
+    patterns = list(iter_partitions(r))
     for b in bounded_partitions(k, n_cap, q_cap):
-        needed: set[Partition] = set()
-        ok = True
-        for a_vec in _draw_vectors(b, r):
-            support = tuple(sorted((a for a in a_vec if a > 0), reverse=True))
-            if support not in members:
-                ok = False
-                break
-            needed.add(support)
-        if ok:
-            return KFullWitness(k, b, tuple(sorted(needed, reverse=True)))
+        needed = tuple(p for p in patterns if dominates(b, p))
+        if all(p in f.members for p in needed):
+            return KFullWitness(k, b, needed)
     return None
 
 

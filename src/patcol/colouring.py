@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Mapping
 
 from .budget import Deadline, _Ticker, collect
 from .hypergraph import Hypergraph
-from .partitions import Partition, PatternSet, enumerate_partitions, monochromatic
+from .partitions import Partition, PatternSet, dominates, enumerate_partitions, monochromatic
 
 
 @dataclass(frozen=True)
@@ -122,14 +122,6 @@ def is_valid_L(
     return ValidityReport(True)
 
 
-def _dominates(pattern: Partition, counts: tuple[int, ...]) -> bool:
-    # Both non-increasing; an injective map of counts into parts that are at
-    # least as large exists iff the pairwise comparison holds.
-    if len(pattern) < len(counts):
-        return False
-    return all(pattern[i] >= counts[i] for i in range(len(counts)))
-
-
 def search_colourings(
     h: Hypergraph,
     allowed: PatternSet,
@@ -184,7 +176,7 @@ def search_colourings(
             sigs.append(sig)
             step.append([-1] * r)
             complete = sum(sig) == r
-            alive.append(sig in allowed_members if complete else any(_dominates(p, sig) for p in usable))
+            alive.append(sig in allowed_members if complete else any(dominates(p, sig) for p in usable))
             fits.append(-1 if complete else None)
         return s
 

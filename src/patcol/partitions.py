@@ -148,6 +148,15 @@ def bounded_partitions(m: int, max_parts: int, max_val: int) -> Iterator[Partiti
             yield (first,) + rest
 
 
+def dominates(big: Partition, small: Partition) -> bool:
+    """Do the parts of small fit injectively into parts of big at least as large?
+
+    Both are non-increasing, so this holds iff big has at least as many parts
+    and big[i] >= small[i] for every part of small.
+    """
+    return len(big) >= len(small) and all(map(int.__ge__, big, small))
+
+
 def enumerate_partitions(r: int) -> PatternSet:
     """All partitions of r as a pattern set."""
     return PatternSet(r, frozenset(iter_partitions(r)))

@@ -13,26 +13,28 @@ introduces colours in first-use order and, within a bundle of colours whose
 placed columns are identical, assigns counts non-increasingly, so each
 colour-relabelling class is enumerated essentially once.
 
-Pruning: after each class is assigned, every edge type fully placeable within
-the assigned classes is checked for an achievable forbidden pattern (one part
-drawn from the newest class); additionally, per-colour count caps are derived
-by testing single-colour draws, which kills most branches before a row is
-even completed.
+One row check decides every forbidden-pattern question: when a class row is
+appended, each edge placement with one part drawn from that newest row and
+the other parts from older rows is tested.  Placements inside older rows were
+tested when those rows were newest, so checking rows as they are appended
+covers every placement.  The search prunes on it, ``dist_valid`` turns its
+first hit into a witness, and ``realizable_patterns`` collects its hits.
+Additionally, per-colour count caps are derived by testing single-colour
+draws, which kills most branches before a row is even completed.
 
 One search serves a whole set of target colour counts: rows are enumerated
 the same way whatever the target, which only caps the number of fresh
 colours, so a spectrum is one pass that prunes a branch only when no target
 still open is reachable from it.
 
-The decision searches (``sigma_exists_k``, ``sigma_colourable``,
-``sigma_search``) also quotient class order, since permuting classes maps
-valid matrices to valid ones with the same k.  Rows come sorted by count
-multiset and, within a run of equal multisets, lex-descending as dense count
-vectors (double-lex order).  Every orbit has such a column-canonical member:
-row multisets survive column permutations, and sorting a run's rows or
-sorting the columns only raises the row-major flattening, so alternating the
-two sorts ends in a matrix ordered both ways.  ``enumerate_valid_distributions``
-keeps class order.
+The decision searches (``sigma_exists_k``, ``sigma_search``) also quotient
+class order, since permuting classes maps valid matrices to valid ones with
+the same k.  Rows come sorted by count multiset and, within a run of equal
+multisets, lex-descending as dense count vectors (double-lex order).  Every
+orbit has such a column-canonical member: row multisets survive column
+permutations, and sorting a run's rows or sorting the columns only raises
+the row-major flattening, so alternating the two sorts ends in a matrix
+ordered both ways.  ``enumerate_valid_distributions`` keeps class order.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from typing import AbstractSet, Callable, Iterator, Mapping, Sequence
 from .budget import Deadline, _Ticker
 from .colouring import Spectrum, collect_spectrum
 from .hypergraph import SigmaHypergraph
-from .partitions import Partition, PatternSet, bounded_partitions
+from .partitions import Partition, PatternSet, bounded_partitions, dominates
 
 # One class row in canonical form: ((colour, count), ...), colours ascending,
 # counts positive.  Draws from a row use the same form.
@@ -127,7 +129,11 @@ def _sub_multisets(row: Row, a: int) -> list[Row]:
 
 @dataclass(frozen=True)
 class ForbiddenWitness:
-    """An achievable pattern outside the allowed set, with how to achieve it."""
+    """An achievable pattern outside the allowed set, with how to achieve it.
+
+    Parts are listed newest class first: the part drawn from the highest
+    class of the placement, then the other parts of the edge type in order.
+    """
 
     pattern: Partition
     edge_type: Partition
@@ -146,20 +152,19 @@ class ForbiddenWitness:
 class _Search:
     """The state of one search and the tables built once for it.
 
-    ``rows`` are the placed class rows, which a distribution search appends
-    and pops.  Every placement ticks the one ticker.
+    ``rows`` are the placed class rows, which a caller appends and pops.
+    Every placement ticks the one ticker.
     """
 
     def __init__(
         self,
-        rows: list[Row],
         q: int,
         sigma_types: Sequence[Partition],
         allowed_members: AbstractSet[Partition],
         deadline: Deadline | None = None,
         count_multisets: Sequence[Partition] = (),
     ):
-        self.rows = rows
+        self.rows: list[Row] = []
         self.q = q
         self.allowed = allowed_members
         self.ticker = _Ticker(deadline, stride=256)
@@ -225,20 +230,23 @@ class _Search:
                     return hit
         return None
 
-    def newest_row_violates(self) -> bool:
-        """Does some placement with one part drawn from the newest class hit a forbidden pattern?
+    def newest_row_violation(self) -> tuple[Partition, Partition, list[tuple[int, Row]]] | None:
+        """The first placement with one part drawn from the newest class whose pattern is forbidden.
 
-        Placements entirely inside older classes were checked when those
-        classes were placed, so this incremental check keeps full coverage.
+        Returns (edge type, pattern, placement), the placement starting with
+        the newest class's draw, or None.  Placements entirely inside older
+        classes were checked when those classes were newest, so appending
+        rows one at a time and checking each keeps full coverage.
         """
         last = len(self.rows) - 1
-        for _, a, rest in self.splits:
+        for sigma, a, rest in self.splits:
             if len(rest) > last:
                 continue
             for draw in self.draws(self.rows[last], a):
-                if self.place(rest, 0, last, 0, -1, dict(draw), []) is not None:
-                    return True
-        return False
+                hit = self.place(rest, 0, last, 0, -1, dict(draw), [])
+                if hit is not None:
+                    return sigma, hit[0], [(last, draw)] + hit[1]
+        return None
 
     def ban_threshold(self, colour: int) -> int:
         """Smallest count a for which a pure draw of colour forces a violation.
@@ -337,32 +345,18 @@ class _Search:
                     yield row, new_used, i
 
 
-def _witness_from(sigma: Partition, hit: tuple[Partition, list[tuple[int, Row]]]) -> ForbiddenWitness:
-    pattern, placement = hit
-    return ForbiddenWitness(
-        pattern=pattern,
-        edge_type=sigma,
-        part_classes=tuple(cls for cls, _ in placement),
-        picks=tuple(draw for _, draw in placement),
-    )
-
-
-def _placeable_types(d: DistributionMatrix, edge_types: PatternSet) -> list[Partition]:
-    return [t for t in edge_types if len(t) <= d.n and t[0] <= d.q]
-
-
 def realizable_patterns(d: DistributionMatrix, edge_types: PatternSet) -> PatternSet:
     """Every colour pattern achievable by some edge under distribution d.
 
-    Each pattern found joins the allowed set and the search runs again, until
-    every achievable pattern is allowed.
+    Rows are appended one at a time; each pattern the newest row can achieve
+    joins the allowed set, until that row achieves no pattern not yet found.
     """
     found: set[Partition] = set()
-    types = _placeable_types(d, edge_types)
-    search = _Search(d.rows(), d.q, types, found)
-    for sigma in types:
-        while (hit := search.place(sigma, 0, d.n, 0, -1, {}, [])) is not None:
-            found.add(hit[0])
+    search = _Search(d.q, list(edge_types), found)
+    for row in d.rows():
+        search.rows.append(row)
+        while (hit := search.newest_row_violation()) is not None:
+            found.add(hit[1])
     return PatternSet(edge_types.r, frozenset(found))
 
 
@@ -377,12 +371,14 @@ class DistValidity:
 
 def dist_valid(d: DistributionMatrix, edge_types: PatternSet, allowed: PatternSet) -> DistValidity:
     """Valid iff every achievable pattern is allowed; else one witness."""
-    types = _placeable_types(d, edge_types)
-    search = _Search(d.rows(), d.q, types, allowed.members)
-    for sigma in types:
-        hit = search.place(sigma, 0, d.n, 0, -1, {}, [])
+    search = _Search(d.q, list(edge_types), allowed.members)
+    for row in d.rows():
+        search.rows.append(row)
+        hit = search.newest_row_violation()
         if hit is not None:
-            return DistValidity(False, _witness_from(sigma, hit))
+            sigma, pattern, placement = hit
+            classes, picks = zip(*placement)
+            return DistValidity(False, ForbiddenWitness(pattern, sigma, classes, picks))
     return DistValidity(True)
 
 
@@ -397,9 +393,7 @@ def _count_multisets(s: SigmaHypergraph, allowed_members: frozenset[Partition]) 
     if (s.r,) not in s.realizable_types():
         return lams
     forbidden = [p for p in bounded_partitions(s.r, s.r, s.r) if p not in allowed_members]
-    return [
-        lam for lam in lams if not any(len(p) <= len(lam) and all(map(int.__le__, p, lam)) for p in forbidden)
-    ]
+    return [lam for lam in lams if not any(dominates(lam, p) for p in forbidden)]
 
 
 def _search_distributions(
@@ -420,7 +414,7 @@ def _search_distributions(
     n, q = s.n, s.q
     sigma_types = sorted(s.realizable_types(), reverse=True)
     lams = _count_multisets(s, allowed.members)
-    search = _Search([], q, sigma_types, allowed.members, deadline, count_multisets=lams)
+    search = _Search(q, sigma_types, allowed.members, deadline, count_multisets=lams)
     rows = search.rows
 
     def rec(ci: int, used: int, first: int | None) -> Iterator[DistributionMatrix]:
@@ -434,7 +428,7 @@ def _search_distributions(
             return
         for row, new_used, lam in search.candidate_rows(used, max(targets) - used, first):
             rows.append(row)
-            if not search.newest_row_violates():
+            if search.newest_row_violation() is None:
                 yield from rec(ci + 1, new_used, lam if sort_classes else None)
             rows.pop()
 
@@ -450,18 +444,6 @@ def sigma_exists_k(
     BudgetExceeded when the deadline passes before a decision.
     """
     return next(_search_distributions(s, allowed, {k}, deadline, sort_classes=True), None)
-
-
-def sigma_colourable(
-    s: SigmaHypergraph, allowed: PatternSet, deadline: Deadline | None = None
-) -> DistributionMatrix | None:
-    """The first valid distribution with any number of colours, or None.
-
-    One search over every colour count; raises BudgetExceeded when the
-    deadline passes before a decision.
-    """
-    targets = set(range(1, s.vertex_count + 1))
-    return next(_search_distributions(s, allowed, targets, deadline, sort_classes=True), None)
 
 
 def sigma_search(

@@ -239,8 +239,37 @@ class TestCliContracts:
         run(capsys, "partitions", "--r", "3", "--config", str(cfg), "--catalog", str(cat_b))
         assert cat_b.exists() and len(cat_a.read_text().splitlines()) == 1
 
+    def test_catalogue_digest_ignores_spelling(self, capsys, tmp_path, monkeypatch):
+        cat, other, cfg = tmp_path / "cat.ndjson", tmp_path / "other.ndjson", tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        monkeypatch.setenv("PATCOL_CATALOG", str(cat))
+        base = ["classify", "--r", "3", "--Q"]
+        for argv in (
+            base + ["[[2,1]]"],
+            base + ["[[2, 1]]"],
+            base + ["[[1,2]]"],
+            base + ["[[2,1]]", "--catalog", str(other)],
+            base + ["[[2,1]]", "--config", str(cfg)],
+            base + ["[[2,1]]", "--budget", "5"],
+        ):
+            assert run(capsys, *argv)[0] == 0
+        records = [json.loads(line) for path in (cat, other) for line in path.read_text().splitlines()]
+        spellings, budgeted = records[:4] + records[5:], records[4]
+        assert len(records) == 6 and len({rec["input_digest"] for rec in spellings}) == 1
+        assert budgeted["input_digest"] != spellings[0]["input_digest"]
+
     @pytest.mark.parametrize(
-        "key,value", [("budget_s", "abc"), ("budget_s", True), ("edge_cap", True), ("edge_cap", "abc")]
+        "key,value",
+        [
+            ("budget_s", "abc"),
+            ("budget_s", True),
+            ("edge_cap", True),
+            ("edge_cap", "abc"),
+            ("budget_s", -1),
+            ("budget_s", float("nan")),
+            ("budget_s", float("inf")),
+            ("edge_cap", 0),
+        ],
     )
     def test_bad_config_values_exit_2(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
@@ -250,6 +279,32 @@ class TestCliContracts:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and key in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("--budget", "-1"),
+            ("--budget", "nan"),
+            ("--budget", "inf"),
+            ("--edge-cap", "0"),
+            ("PATCOL_BUDGET", "nan"),
+            ("PATCOL_BUDGET", "-1"),
+            ("PATCOL_BUDGET", "abc"),
+            ("PATCOL_EDGE_CAP", "0"),
+            ("PATCOL_EDGE_CAP", "2.5"),
+        ],
+    )
+    def test_bad_flag_and_env_values_exit_2(self, capsys, monkeypatch, name, value):
+        # Flags and environment variables pass the config file's checks.
+        argv = ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"]
+        if name.startswith("--"):
+            argv += [name, value]
+        else:
+            monkeypatch.setenv(name, value)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name} must be ") and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

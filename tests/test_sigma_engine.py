@@ -82,13 +82,26 @@ class TestRealizablePatterns:
         d = DistributionMatrix.from_rows(2, 2, [{0: 1, 1: 1}, {0: 2}])
         assert set(realizable_patterns(d, pset(3, (2, 1)))) == {(3,), (2, 1)}
 
+    def test_patterns_inside_older_classes_count(self):
+        # (3) is drawable only from classes 0 and 1, never with the last class.
+        d = DistributionMatrix.from_rows(3, 2, [{0: 2}, {0: 2}, {1: 2}])
+        types = pset(3, (2, 1))
+        assert set(realizable_patterns(d, types)) == {(3,), (2, 1)}
+        w = dist_valid(d, types, types).witness
+        assert w.pattern == (3,) and w.part_classes == (1, 0) and w.picks == (((0, 2),), ((0, 1),))
+
     def test_matches_explicit_enumeration(self):
+        # Realisable patterns and dist_valid verdicts agree with the patterns
+        # of the explicit edges, and every dist_valid witness is checked
+        # against the matrix alone.
         rng = random.Random(7)
-        for _ in range(30):
+        invalid = 0
+        for _ in range(100):
             n, q = rng.randint(1, 3), rng.randint(1, 3)
-            r = rng.choice([2, 3])
+            r = rng.choice([2, 3, 4])
             universe = sorted(enumerate_partitions(r))
             types = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, len(universe)))))
+            allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, len(universe)))))
             s = SigmaHypergraph(n, r, q, types)
             h = build_sigma_explicit(s)
             k = rng.randint(1, n * q)
@@ -110,6 +123,22 @@ class TestRealizablePatterns:
 
             explicit = {pat(e, c) for e in h.edges}
             assert set(realizable_patterns(d, types)) == explicit
+            verdict = dist_valid(d, types, allowed)
+            assert verdict.ok == is_valid(h, c, allowed).ok
+            if not verdict.ok:
+                invalid += 1
+                w = verdict.witness
+                assert len(set(w.part_classes)) == len(w.part_classes)
+                assert w.edge_type in types
+                assert sorted((sum(v for _, v in pick) for pick in w.picks), reverse=True) == list(w.edge_type)
+                totals: dict[int, int] = {}
+                for cls, pick in zip(w.part_classes, w.picks):
+                    for colour, v in pick:
+                        assert 0 < v <= d.counts[cls][colour]
+                        totals[colour] = totals.get(colour, 0) + v
+                assert tuple(sorted(totals.values(), reverse=True)) == w.pattern
+                assert w.pattern not in allowed
+        assert invalid >= 15
 
     def test_refining_a_colour_only_adds_splits(self):
         # Recolouring one vertex with a fresh colour can only split one count.
