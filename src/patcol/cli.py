@@ -16,29 +16,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analysis import check_tight, gap_witness_search, ramsey_check, verify_lemma_constructions
 from .budget import BudgetExceeded
 from .catalog import CatalogEntry, catalog_append, digest_inputs
-from .clique import VertexCapExceeded, brute_force_clique, omega_sigma
-from .colouring import spectrum
-from .hypergraph import (
-    EdgeCapExceeded,
-    Hypergraph,
-    SigmaHypergraph,
-    build_complete,
-    build_grid,
-    build_ramsey,
-    build_sigma_explicit,
-    read_hypergraph,
-    write_hypergraph,
-)
 from .partitions import (
     FAMILY_KINDS,
     PatternSet,
@@ -49,7 +35,12 @@ from .partitions import (
     ex_closure,
     rd_closure,
 )
-from .sigma_engine import sigma_spectrum
+
+# The engines (analysis, clique, colouring, hypergraph, sigma_engine) are
+# imported inside the handlers that run them, so a cold process pays only for
+# the modules its command needs.
+if TYPE_CHECKING:
+    from .hypergraph import Hypergraph, SigmaHypergraph
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -72,7 +63,7 @@ class Config:
 # (argparse destination) that sets it.
 _CONFIG_KEYS = {
     "budget_s": (
-        lambda v: v is None or isinstance(v, (int, float)) and 0 <= v < math.inf,
+        lambda v: v is None or isinstance(v, (int, float)) and 0 <= v <= sys.float_info.max,
         "a finite number >= 0 or null",
         "BUDGET",
         float,
@@ -155,6 +146,8 @@ def _emit(payload: dict) -> None:
 
 def _sigma_arg(args) -> SigmaHypergraph:
     """The class-structured hypergraph given by --sigma and --Sigma."""
+    from .hypergraph import SigmaHypergraph
+
     if not args.sigma or not args.Sigma:
         raise ValueError("give --sigma n=..,r=..,q=.. with --Sigma")
     n, r, q = _sigma_params(args.sigma)
@@ -162,6 +155,8 @@ def _sigma_arg(args) -> SigmaHypergraph:
 
 
 def _load_hypergraph_arg(args, cfg: Config) -> Hypergraph:
+    from .hypergraph import build_sigma_explicit, read_hypergraph
+
     if args.file:
         return read_hypergraph(args.file)
     return build_sigma_explicit(_sigma_arg(args), edge_cap=cfg.edge_cap)
@@ -201,6 +196,16 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
     missing = [f"--{name.replace('_', '-')}" for name in _BUILD_NEEDS[args.kind] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"build --kind {args.kind} needs {', '.join(missing)}")
+    if args.kind == "family":
+        params = {
+            name: getattr(args, name)
+            for name in ("alpha", "beta", "s", "t", "a", "b")
+            if getattr(args, name) is not None
+        }
+        fam = build_family(args.family, args.r, **params)
+        return {"r": args.r, "family": args.family, "patterns": fam.to_json()}, False
+    from .hypergraph import build_complete, build_grid, build_ramsey, build_sigma_explicit, write_hypergraph
+
     if args.kind == "complete":
         h = build_complete(args.n, args.r)
     elif args.kind == "ramsey":
@@ -209,14 +214,6 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
         rp = _pattern_set(args.row_patterns, args.r)
         cp = _pattern_set(args.col_patterns, args.r)
         h = build_grid(args.rows, args.cols, args.cell_size, rp, cp, args.r, edge_cap=cfg.edge_cap)
-    elif args.kind == "family":
-        params = {
-            name: getattr(args, name)
-            for name in ("alpha", "beta", "s", "t", "a", "b")
-            if getattr(args, name) is not None
-        }
-        fam = build_family(args.family, args.r, **params)
-        return {"r": args.r, "family": args.family, "patterns": fam.to_json()}, False
     else:  # sigma
         s = _sigma_arg(args)
         if not args.explicit:
@@ -235,6 +232,8 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
 
 def _cmd_spectrum(args, cfg) -> tuple[dict, bool]:
     if args.file or args.explicit:
+        from .colouring import spectrum
+
         h = _load_hypergraph_arg(args, cfg)
         q = _pattern_set(args.Q, h.r)
         k_max = args.k_max if args.k_max is not None else h.vertex_count
@@ -242,6 +241,8 @@ def _cmd_spectrum(args, cfg) -> tuple[dict, bool]:
     else:
         if not args.sigma:
             raise ValueError("give --file, or --sigma with --Sigma")
+        from .sigma_engine import sigma_spectrum
+
         s = _sigma_arg(args)
         q = _pattern_set(args.Q, s.r)
         k_max = args.k_max if args.k_max is not None else s.vertex_count
@@ -250,6 +251,9 @@ def _cmd_spectrum(args, cfg) -> tuple[dict, bool]:
 
 
 def _cmd_clique(args, cfg) -> tuple[dict, bool]:
+    from .clique import brute_force_clique, omega_sigma
+    from .hypergraph import read_hypergraph
+
     if args.file:
         h = read_hypergraph(args.file)
         omega = brute_force_clique(h, vertex_cap=args.vertex_cap)
@@ -259,6 +263,8 @@ def _cmd_clique(args, cfg) -> tuple[dict, bool]:
 
 
 def _cmd_tight(args, cfg) -> tuple[dict, bool]:
+    from .analysis import check_tight
+
     s = _sigma_arg(args)
     q = _pattern_set(args.Q, s.r) if args.Q else s.edge_types
     report = check_tight(s, q, budget_s=cfg.budget_s)
@@ -266,6 +272,8 @@ def _cmd_tight(args, cfg) -> tuple[dict, bool]:
 
 
 def _cmd_gaps(args, cfg) -> tuple[dict, bool]:
+    from .analysis import gap_witness_search
+
     q = _pattern_set(args.Q, args.r)
     sigma_sets = None
     if args.Sigma:
@@ -285,6 +293,8 @@ def _cmd_gaps(args, cfg) -> tuple[dict, bool]:
 def _cmd_ramsey(args, cfg) -> tuple[dict, bool]:
     from math import comb
 
+    from .analysis import ramsey_check
+
     q = _pattern_set(args.Q, comb(args.p, args.r))
     report = ramsey_check(args.n, args.r, args.p, args.k, q, budget_s=cfg.budget_s)
     return report.to_json_dict(), report.colourable is None
@@ -293,6 +303,8 @@ def _cmd_ramsey(args, cfg) -> tuple[dict, bool]:
 def _cmd_verify(args, cfg) -> tuple[dict, bool]:
     if args.suite != "lemmas":
         raise ValueError(f"unknown suite {args.suite!r}; available: lemmas")
+    from .analysis import verify_lemma_constructions
+
     budget = cfg.budget_s if cfg.budget_s is not None else 600.0
     payload = verify_lemma_constructions(args.r, budget_s=budget)
     has_unknown = any(rep["verdict"] == "unknown" for rep in payload["reports"])
@@ -444,14 +456,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)
         start = time.perf_counter()
         payload, has_unknown = args.handler(args, cfg)
-    except (ValueError, OSError, EdgeCapExceeded, VertexCapExceeded) as exc:
+        _emit(payload)
+        _catalogue(args, cfg, payload, time.perf_counter() - start)
+    except (ValueError, OSError) as exc:  # the cap exceptions are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceeded:
         _emit({"verdict": "unknown", "reason": "time budget exhausted"})
         return EXIT_UNKNOWN
-    _emit(payload)
-    _catalogue(args, cfg, payload, time.perf_counter() - start)
     return EXIT_UNKNOWN if has_unknown else EXIT_OK
 
 

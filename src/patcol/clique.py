@@ -17,8 +17,8 @@ from .hypergraph import Hypergraph, SigmaHypergraph
 from .partitions import Partition, PatternSet, bounded_partitions, dominates, iter_partitions, monochromatic, rainbow
 
 
-class VertexCapExceeded(Exception):
-    """Brute-force clique search refused: instance above the vertex cap."""
+class VertexCapExceeded(ValueError):
+    """Brute-force clique search refused: instance above the vertex cap (invalid input)."""
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from .partitions import Partition, PatternSet, as_partition
 DEFAULT_EDGE_CAP = 10**7
 
 
-class EdgeCapExceeded(Exception):
-    """Explicit construction would materialise more edges than the cap allows."""
+class EdgeCapExceeded(ValueError):
+    """Explicit construction would materialise more edges than the cap allows (invalid input)."""
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import patcol
 from patcol.cli import main
 
 
@@ -142,6 +147,14 @@ class TestCliqueCommand:
         code, data = run(capsys, "clique", "--file", out)
         assert code == 0 and data["omega"] == 6
 
+    def test_vertex_cap_exits_2_with_one_line(self, capsys, tmp_path):
+        out = str(tmp_path / "h.json")
+        run(capsys, "build", "--kind", "complete", "--n", "6", "--r", "3", "--out", out)
+        code = main(["clique", "--file", out, "--vertex-cap", "5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1
+
 
 class TestTightCommand:
     def test_flagship(self, capsys):
@@ -230,6 +243,12 @@ class TestCliContracts:
         rec = json.loads(lines[0])
         assert rec["command"] == "partitions" and rec["engine_version"]
 
+    def test_unwritable_catalogue_exits_2_with_one_line(self, capsys, tmp_path):
+        code = main(["partitions", "--r", "2", "--catalog", str(tmp_path / "missing-dir" / "x.jsonl")])
+        out, err = capsys.readouterr()
+        assert code == 2 and json.loads(out)["count"] == 2
+        assert err.startswith("error: ") and "missing-dir" in err and err.count("\n") == 1
+
     def test_config_file_and_flag_precedence(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cat_a, cat_b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
@@ -268,6 +287,7 @@ class TestCliContracts:
             ("budget_s", -1),
             ("budget_s", float("nan")),
             ("budget_s", float("inf")),
+            pytest.param("budget_s", 10**400, id="budget_s-int-beyond-float"),
             ("edge_cap", 0),
         ],
     )
@@ -290,6 +310,7 @@ class TestCliContracts:
             ("PATCOL_BUDGET", "nan"),
             ("PATCOL_BUDGET", "-1"),
             ("PATCOL_BUDGET", "abc"),
+            pytest.param("PATCOL_BUDGET", "1" + "0" * 400, id="PATCOL_BUDGET-beyond-float"),
             ("PATCOL_EDGE_CAP", "0"),
             ("PATCOL_EDGE_CAP", "2.5"),
         ],
@@ -315,6 +336,7 @@ class TestCliContracts:
             ["clique", "--sigma", "n=2,r=3,q=2"],
             ["build", "--kind", "complete"],
             ["build", "--kind", "family", "--r", "3", "--family", "proper"],
+            ["build", "--kind", "sigma", "--sigma", "n=3,r=3,q=3", "--Sigma", "[[2,1]]", "--explicit", "--edge-cap=1"],
             ["partitions", "--r", "4", "--frobnicate"],
             ["partitions"],
             ["classify", "--r", "3", "--Q", "-1e+16"],
@@ -328,6 +350,48 @@ class TestCliContracts:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_ENGINES = {"patcol.analysis", "patcol.clique", "patcol.colouring", "patcol.hypergraph", "patcol.sigma_engine"}
+
+
+def _patcol_modules_after(code: str) -> set[str]:
+    """The patcol modules a fresh interpreter has loaded after running ``code``."""
+    script = code + "\nimport sys\nprint(*[m for m in sys.modules if m.startswith('patcol')])"
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partitions", "--r", "4"],
+            ["closure", "--r", "3", "--rd", "[[1,1,1]]"],
+            ["classify", "--r", "3", "--Q", "[[2,1]]"],
+        ],
+    )
+    def test_pattern_commands_load_no_engine(self, argv):
+        loaded = _patcol_modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0")
+        assert "patcol.partitions" in loaded and not loaded & _ENGINES
+
+    def test_package_import_loads_no_submodule(self):
+        assert _patcol_modules_after("import patcol") == {"patcol"}
+
+    def test_reexports_resolve_on_first_use(self):
+        loaded = _patcol_modules_after("import patcol\nfor name in patcol.__all__:\n    getattr(patcol, name)")
+        assert loaded == {"patcol", "patcol.budget", "patcol.colouring", "patcol.hypergraph", "patcol.partitions"}
+        from patcol import colouring, hypergraph, partitions
+
+        names = ["Colouring", "Hypergraph", "Partition", "PatternSet", "SigmaHypergraph", "Spectrum"]
+        assert patcol.__all__ == ["__version__", *names]
+        assert (patcol.Colouring, patcol.Spectrum) == (colouring.Colouring, colouring.Spectrum)
+        assert (patcol.Hypergraph, patcol.SigmaHypergraph) == (hypergraph.Hypergraph, hypergraph.SigmaHypergraph)
+        assert (patcol.Partition, patcol.PatternSet) == (partitions.Partition, partitions.PatternSet)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            patcol.no_such_name
 
 
 # Arbitrary JSON: scalars, and lists and objects nested up to a few levels.
