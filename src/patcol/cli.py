@@ -133,6 +133,8 @@ def _sigma_params(text: str) -> tuple[int, int, int]:
         key = key.strip()
         if key not in ("n", "r", "q") or not raw.strip().isdigit():
             raise ValueError(f"bad structure parameters {text!r}; expected n=..,r=..,q=..")
+        if key in vals:
+            raise ValueError(f"structure parameters {text!r} repeat {key}")
         vals[key] = int(raw)
     missing = {"n", "r", "q"} - vals.keys()
     if missing:

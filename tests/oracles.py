@@ -64,3 +64,16 @@ def naive_exists_k(h: Hypergraph, k: int, allowed: PatternSet) -> bool:
 
 def naive_spectrum(h: Hypergraph, allowed: PatternSet, k_max: int) -> set[int]:
     return {k for k in range(1, k_max + 1) if naive_exists_k(h, k, allowed)}
+
+
+def naive_draws_by_size(row: tuple[tuple[int, int], ...]) -> dict[int, list[tuple[tuple[int, int], ...]]]:
+    """Every sub-multiset of a class row, keyed by size, in descending order of take vectors.
+
+    Enumerates every vector of takes (0..count per colour) and sorts them all,
+    so "larger takes of earlier colours first" holds by construction.
+    """
+    by_size: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+    for takes in sorted(product(*(range(v + 1) for _, v in row)), reverse=True):
+        draw = tuple((c, t) for (c, _), t in zip(row, takes) if t)
+        by_size.setdefault(sum(takes), []).append(draw)
+    return by_size

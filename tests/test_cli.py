@@ -340,6 +340,8 @@ class TestCliContracts:
             ["partitions", "--r", "4", "--frobnicate"],
             ["partitions"],
             ["classify", "--r", "3", "--Q", "-1e+16"],
+            ["spectrum", "--sigma", "n=2,r=3,q=2,q=3", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
+            ["spectrum", "--sigma", "n=2,n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, argv):

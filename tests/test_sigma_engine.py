@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +11,7 @@ from patcol.hypergraph import SigmaHypergraph, build_sigma_explicit
 from patcol.partitions import PatternSet, bounded_partitions, enumerate_partitions
 from patcol.sigma_engine import (
     DistributionMatrix,
+    _sub_multisets,
     cdmc,
     dist_valid,
     enumerate_valid_distributions,
@@ -19,6 +20,8 @@ from patcol.sigma_engine import (
     sigma_search,
     sigma_spectrum,
 )
+
+from oracles import naive_draws_by_size
 
 
 def pset(r, *parts):
@@ -188,6 +191,17 @@ class TestDistValid:
         assert sum(v for pick in w.picks for _, v in pick) == 3
 
 
+class TestDraws:
+    def test_matches_sorted_product_in_order(self):
+        # Witnesses depend on the draw order, so the order is checked, not just the set.
+        for m in range(6):
+            for counts in product(range(1, 5), repeat=m):
+                row = tuple((2 * c + 1, v) for c, v in enumerate(counts))
+                want = naive_draws_by_size(row)
+                for a in range(sum(counts) + 2):
+                    assert list(_sub_multisets(row, a)) == want.get(a, []), (row, a)
+
+
 class TestSigmaExistsK:
     def test_tight_instance_membership(self):
         q = pset(3, (2, 1))
@@ -234,6 +248,13 @@ class TestSigmaExistsK:
         with pytest.raises(BudgetExceeded):
             sigma_exists_k(s, s.edge_types, 11, deadline=Deadline(0.2))
         assert time.perf_counter() - start < 1.2
+
+    def test_r6_tight_instance_decided(self):
+        # H(12,6,26|{(5,1)}), the paper's tight instance at r=6: exactly 12 colours.
+        s = SigmaHypergraph(12, 6, 26, pset(6, (5, 1)))
+        assert sigma_exists_k(s, s.edge_types, 11, deadline=Deadline(30.0)) is None
+        w = sigma_exists_k(s, s.edge_types, 12, deadline=Deadline(30.0))
+        assert w is not None and dist_valid(w, s.edge_types, s.edge_types).ok
 
     def test_class_order_quotient_matches_enumeration(self):
         # Decisions search only canonical class orders; enumeration keeps
