@@ -14,11 +14,11 @@ a definite answer.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Sequence
-
-from math import comb
 
 from .budget import BudgetExceeded, Deadline, collect, probe
 from .colouring import Colouring, Spectrum, gap_verdict, is_valid, search_colourings
@@ -31,7 +31,7 @@ from .partitions import (
     monochromatic,
     rainbow,
 )
-from .sigma_engine import enumerate_valid_distributions, sigma_search, sigma_spectrum
+from .sigma_engine import DistributionMatrix, enumerate_valid_distributions, sigma_search, sigma_spectrum
 
 
 def _and3(*flags: bool | None) -> bool | None:
@@ -116,6 +116,16 @@ def canonical_tight_instance(patterns: PatternSet) -> SigmaHypergraph:
     return SigmaHypergraph(2 * r, r, (r - 1) ** 2 + 1, patterns)
 
 
+def _colourings_up_to_relabel(m: DistributionMatrix) -> int:
+    """How many vertex colourings, up to relabelling colours, realise m.
+
+    Each class row is realised in q!/prod(counts!) ways; the colour
+    permutations fixing m (g! for each group of g equal columns) act freely on them.
+    """
+    ways = prod(factorial(m.q) // prod(map(factorial, row)) for row in m.counts)
+    return ways // prod(map(factorial, Counter(zip(*m.counts)).values()))
+
+
 def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None = None) -> TightReport:
     """Evaluate the four tight-colourability conditions on one instance."""
     nq = s.vertex_count
@@ -128,13 +138,14 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
     equal_sizes: bool | None = None
     if k0 is not None:
         try:
-            found = []
+            first, total = None, 0
             for m in enumerate_valid_distributions(s, allowed, k0, deadline=Deadline(budget_s)):
-                found.append(m)
-                if len(found) > 1:
+                first = first or m
+                total += _colourings_up_to_relabel(m)
+                if total > 1:
                     break
-            unique = len(found) == 1
-            equal_sizes = len(set(found[0].colour_totals())) == 1 if found else False
+            unique = total == 1
+            equal_sizes = first is not None and len(set(first.colour_totals())) == 1
         except BudgetExceeded:
             unique = None
             equal_sizes = None

@@ -260,7 +260,7 @@ def _cmd_clique(args, cfg) -> tuple[dict, bool]:
         h = read_hypergraph(args.file)
         omega = brute_force_clique(h, vertex_cap=args.vertex_cap)
         return {"method": "brute-force", "omega": omega}, False
-    result = omega_sigma(_sigma_arg(args), structure_caps=not args.uncapped)
+    result = omega_sigma(_sigma_arg(args))
     return {"method": "k-full", **result.to_json_dict()}, False
 
 
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="explicit hypergraph JSON file (brute force)")
     p.add_argument("--sigma", help="structure parameters n=..,r=..,q=..")
     p.add_argument("--Sigma", help="allowed edge types")
-    p.add_argument("--uncapped", action="store_true", help="drop the capacity caps (experimental)")
     p.add_argument("--vertex-cap", type=int, dest="vertex_cap", default=40)
     p.set_defaults(handler=_cmd_clique)
 

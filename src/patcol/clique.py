@@ -67,13 +67,12 @@ class OmegaResult:
         return {"omega": self.omega, "witness": self.witness.to_json_dict() if self.witness else None}
 
 
-def omega_sigma(s: SigmaHypergraph, structure_caps: bool = True) -> OmegaResult:
+def omega_sigma(s: SigmaHypergraph) -> OmegaResult:
     """Clique number of a class-structured hypergraph via k-fullness.
 
     Capacity vectors are capped at n parts of size at most q, since a clique
-    draws b_i vertices from class i; pass structure_caps=False to experiment
-    with the uncapped variant.  When neither the monochromatic nor the rainbow
-    type is allowed, (r-1)^2 bounds the answer and the scan starts there.
+    draws b_i vertices from class i.  When neither the monochromatic nor the
+    rainbow type is allowed, (r-1)^2 bounds the answer and the scan starts there.
 
     If no k >= r is full, any r-1 vertices still form a clique vacuously, so
     the result is min(vertex_count, r-1).
@@ -89,11 +88,9 @@ def omega_sigma(s: SigmaHypergraph, structure_caps: bool = True) -> OmegaResult:
     upper = s.vertex_count
     if monochromatic(r) not in sig and rainbow(r) not in sig:
         upper = min(upper, (r - 1) ** 2)
-    n_cap = s.n if structure_caps else upper
-    q_cap = s.q if structure_caps else upper
     # k-fullness is downward monotone, so the first hit from above is the max.
     for k in range(upper, r - 1, -1):
-        w = is_k_full(sig, k, n_cap, q_cap)
+        w = is_k_full(sig, k, s.n, s.q)
         if w is not None:
             return OmegaResult(k, w)
     return OmegaResult(min(s.vertex_count, r - 1), None)

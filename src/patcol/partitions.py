@@ -143,7 +143,8 @@ def bounded_partitions(m: int, max_parts: int, max_val: int) -> Iterator[Partiti
         return
     if max_parts <= 0 or max_val <= 0:
         return
-    for first in range(min(m, max_val), 0, -1):
+    # A first part below ceil(m / max_parts) leaves too much for the rest.
+    for first in range(min(m, max_val), -(-m // max_parts) - 1, -1):
         for rest in bounded_partitions(m - first, max_parts - 1, first):
             yield (first,) + rest
 

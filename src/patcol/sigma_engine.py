@@ -45,7 +45,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 from .budget import Deadline, _Ticker
 from .colouring import Spectrum, collect_spectrum
 from .hypergraph import SigmaHypergraph
-from .partitions import Partition, PatternSet, bounded_partitions, dominates
+from .partitions import Partition, PatternSet, bounded_partitions, dominates, iter_partitions
 
 # One class row in canonical form: ((colour, count), ...), colours ascending,
 # counts positive.  Draws from a row use the same form.
@@ -182,7 +182,8 @@ class _Search:
     """The state of one search and the tables built once for it.
 
     ``rows`` are the placed class rows, which a caller appends and pops.
-    Every placement ticks the one ticker.
+    Every placement ticks the one ticker.  No row is generated whose count
+    multiset dominates a pattern of ``row_forbidden``.
     """
 
     def __init__(
@@ -191,7 +192,7 @@ class _Search:
         sigma_types: Sequence[Partition],
         allowed_members: AbstractSet[Partition],
         deadline: Deadline | None = None,
-        count_multisets: Sequence[Partition] = (),
+        row_forbidden: Sequence[Partition] = (),
     ):
         self.rows: list[Row] = []
         self.q = q
@@ -207,7 +208,7 @@ class _Search:
             if a not in sigma[:i]
         ]
         self.ban_probes = [(a, rest) for _, a, rest in sorted(self.splits, key=lambda split: split[1])]
-        self.count_multisets = count_multisets
+        self.row_forbidden = row_forbidden
 
     def draws(self, row: Row, a: int) -> Iterable[Row]:
         """The draws of size a from row, in ``_sub_multisets`` order; iterate them once."""
@@ -297,35 +298,34 @@ class _Search:
                 return a
         return self.q + 1
 
-    def candidate_rows(self, used: int, max_fresh: int, first: int | None) -> Iterator[tuple[Row, int, int]]:
-        """Canonical next-class rows, as (row, colours used after this row, count multiset index).
+    def candidate_rows(
+        self, used: int, max_fresh: int, first: Partition | None
+    ) -> Iterator[tuple[Row, int, Partition]]:
+        """Canonical next-class rows, as (row, colours used after this row, its count multiset).
 
         Rows are enumerated as a count multiset (a partition of q, largest-first,
         so monochromatic reuse comes first) followed by an assignment of counts to
         colours.  Existing colours are grouped by their placed column; within a
         group counts fall non-increasingly along ascending colour indices, at most
         max_fresh fresh colours trail behind the existing ones, and per-colour
-        caps derived from single-colour draw violations cut reuse early.
+        caps derived from single-colour draw violations cut reuse early.  Only
+        multisets within those bounds are generated: at most one count per
+        colour available, none above the largest cap.
 
-        With ``first`` None every count multiset is tried.  Otherwise classes
-        come in canonical order: only multisets from index ``first`` (the last
-        placed row's) on, and a row with the last row's multiset may not exceed
-        it as a dense count vector in lex order.
+        With ``first`` None no class order is imposed.  Otherwise ``first``
+        is the last placed row's multiset and classes come in canonical order:
+        only multisets lex-at-most ``first``, and a row with multiset ``first``
+        may not exceed the last row as a dense count vector in lex order.
         """
         q = self.q
         columns = [[0] * len(self.rows) for _ in range(used)]
         for i, row in enumerate(self.rows):
             for c, v in row:
                 columns[c][i] = v
-        groups: list[list[int]] = []
-        seen: dict[tuple[int, ...], int] = {}
+        by_column: dict[tuple[int, ...], list[int]] = {}
         for c in range(used):
-            col = tuple(columns[c])
-            if col in seen:
-                groups[seen[col]].append(c)
-            else:
-                seen[col] = len(groups)
-                groups.append([c])
+            by_column.setdefault(tuple(columns[c]), []).append(c)
+        groups = list(by_column.values())  # in order of first colour
         caps = [min(q, self.ban_threshold(g[0]) - 1) for g in groups]
         fresh_cap = min(q, self.ban_threshold(used) - 1) if max_fresh > 0 else 0
         ngroups = len(groups)
@@ -335,7 +335,7 @@ class _Search:
         # placed row in the same form when the lex order applies.
         xs = [0] * (used + min(max_fresh, q))
         prev = None
-        if first is not None and self.rows:
+        if first is not None:
             prev = [0] * len(xs)
             for c, v in self.rows[-1]:
                 prev[c] = v
@@ -372,12 +372,15 @@ class _Search:
                         room[target] += 1
                 xs[c] = 0
 
-        slots = used + max_fresh
-        lams = self.count_multisets
-        for i in range(first or 0, len(lams)):
-            if len(lams[i]) <= slots:  # every count needs its own colour
-                for row, new_used in assign(lams[i], 0, 0, 0, q, prev is not None and i == first):
-                    yield row, new_used, i
+        top = max([fresh_cap, *caps])
+        if first is not None:
+            top = min(top, first[0])
+        # Every count needs its own colour, and none may exceed every cap.
+        for lam in bounded_partitions(q, used + max_fresh, top):
+            if (first is not None and lam > first) or any(dominates(lam, p) for p in self.row_forbidden):
+                continue
+            for row, new_used in assign(lam, 0, 0, 0, q, lam == first):
+                yield row, new_used, lam
 
 
 def realizable_patterns(d: DistributionMatrix, edge_types: PatternSet) -> PatternSet:
@@ -417,20 +420,6 @@ def dist_valid(d: DistributionMatrix, edge_types: PatternSet, allowed: PatternSe
     return DistValidity(True)
 
 
-def _count_multisets(s: SigmaHypergraph, allowed_members: frozenset[Partition]) -> list[Partition]:
-    """The count multisets a class row may take: partitions of q, largest-first.
-
-    When a whole edge can sit in one class, a row's count multiset alone
-    decides whether its within-class patterns are allowed: pattern p is
-    drawable from counts lam iff p[i] <= lam[i] for every part of p.
-    """
-    lams = list(bounded_partitions(s.q, s.q, s.q))
-    if (s.r,) not in s.realizable_types():
-        return lams
-    forbidden = [p for p in bounded_partitions(s.r, s.r, s.r) if p not in allowed_members]
-    return [lam for lam in lams if not any(dominates(lam, p) for p in forbidden)]
-
-
 def _search_distributions(
     s: SigmaHypergraph, allowed: PatternSet, targets: set[int], deadline: Deadline | None, *, sort_classes: bool
 ) -> Iterator[DistributionMatrix]:
@@ -448,11 +437,12 @@ def _search_distributions(
             raise ValueError(f"need 1 <= k <= {s.vertex_count}, got k={k}")
     n, q = s.n, s.q
     sigma_types = sorted(s.realizable_types(), reverse=True)
-    lams = _count_multisets(s, allowed.members)
-    search = _Search(q, sigma_types, allowed.members, deadline, count_multisets=lams)
+    # An edge inside one class can show pattern p iff the row's count multiset dominates p.
+    row_forbidden = [p for p in iter_partitions(s.r) if p not in allowed] if (s.r,) in sigma_types else []
+    search = _Search(q, sigma_types, allowed.members, deadline, row_forbidden)
     rows = search.rows
 
-    def rec(ci: int, used: int, first: int | None) -> Iterator[DistributionMatrix]:
+    def rec(ci: int, used: int, first: Partition | None) -> Iterator[DistributionMatrix]:
         search.ticker.tick()
         if ci == n:
             if used in targets:
@@ -467,7 +457,7 @@ def _search_distributions(
                 yield from rec(ci + 1, new_used, lam if sort_classes else None)
             rows.pop()
 
-    yield from rec(0, 0, 0 if sort_classes else None)
+    yield from rec(0, 0, None)
 
 
 def sigma_exists_k(

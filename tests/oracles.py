@@ -1,17 +1,17 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive: counting via the pentagonal-number
-recurrence, colouring search by full enumeration, edge generation by
-filtering all subsets.  None of it shares code with the library paths it
-cross-checks.
+recurrence, partitions by filtering all multisets of parts, colouring
+search by full enumeration, edge generation by filtering all subsets.  None
+of it shares code with the library paths it cross-checks.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
-from patcol.colouring import Colouring, pat
-from patcol.hypergraph import Hypergraph, SigmaHypergraph, edge_type
+from patcol.colouring import Colouring, is_valid, pat
+from patcol.hypergraph import Hypergraph, SigmaHypergraph, build_sigma_explicit, edge_type
 from patcol.partitions import PatternSet
 
 
@@ -77,3 +77,39 @@ def naive_draws_by_size(row: tuple[tuple[int, int], ...]) -> dict[int, list[tupl
         draw = tuple((c, t) for (c, _), t in zip(row, takes) if t)
         by_size.setdefault(sum(takes), []).append(draw)
     return by_size
+
+
+def naive_partitions(m: int) -> list[tuple[int, ...]]:
+    """Every partition of m, from all multisets of parts that sum to m, in no particular order."""
+    return [
+        parts[::-1]
+        for size in range(1, m + 1)
+        for parts in combinations_with_replacement(range(1, m - size + 2), size)
+        if sum(parts) == m
+    ]
+
+
+def naive_colourings_up_to_relabel(s: SigmaHypergraph, allowed: PatternSet, k: int) -> int:
+    """Valid exactly-k colourings of the materialised instance, one per relabelling class.
+
+    Restricted-growth strings (each vertex takes a used colour or the next
+    new one) list every set partition of the vertices exactly once.
+    """
+    h = build_sigma_explicit(s)
+    count = 0
+
+    def grow(prefix: list[int], used: int) -> None:
+        nonlocal count
+        if len(prefix) == h.vertex_count:
+            if used == k and is_valid(h, Colouring.of(tuple(prefix), k), allowed):
+                count += 1
+            return
+        if used + h.vertex_count - len(prefix) < k:
+            return
+        for c in range(min(used + 1, k)):
+            prefix.append(c)
+            grow(prefix, max(used, c + 1))
+            prefix.pop()
+
+    grow([], 0)
+    return count

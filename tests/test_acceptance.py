@@ -202,7 +202,16 @@ def test_criterion_08_sparse_high_chromatic_instance():
     omega = omega_sigma(s).omega
     if omega != 4 or omega > 4:
         failures.append(f"clique number {omega} must be 4 and within (r-1)^2=4")
-    conclude(8, "sparse instance with chromatic 3 and clique 4", t0, 60.0, failures)
+    # The family: chromatic number m grows while the clique number stays 4.
+    classical = pset(3, (2, 1), (1, 1, 1))
+    for m in range(3, 10):
+        s = SigmaHypergraph(m, 3, m, pset(3, (2, 1)))
+        feasible = sigma_spectrum(s, classical, k_max=m).feasible
+        if feasible != (m,):
+            failures.append(f"H({m},3,{m}): feasible counts up to {m} are {feasible}, want ({m},)")
+        if omega_sigma(s).omega != 4:
+            failures.append(f"H({m},3,{m}): clique number {omega_sigma(s).omega}, want 4")
+    conclude(8, "sparse instances with chromatic m and clique 4", t0, 60.0, failures)
 
 
 def test_criterion_09_engine_equivalence():

@@ -25,6 +25,8 @@ from patcol.partitions import (
     rainbow,
 )
 
+from oracles import naive_colourings_up_to_relabel
+
 
 def pset(r, *parts):
     return PatternSet.of(r, parts)
@@ -65,6 +67,37 @@ class TestCheckTight:
         assert report.spectrum_singleton is True
         assert report.unique_up_to_relabel is False
         assert report.verdict is False
+
+    def test_uniqueness_counts_colourings_not_matrices(self):
+        # One matrix, two colourings: each class of H(2,2,2|{(2)}) is
+        # properly 2-coloured, and the second class may repeat or swap the first.
+        s, allowed = SigmaHypergraph(2, 2, 2, pset(2, (2,))), pset(2, (1, 1))
+        report = check_tight(s, allowed)
+        assert report.k == 2 and report.unique_up_to_relabel is False
+        assert naive_colourings_up_to_relabel(s, allowed, 2) == 2
+
+    def test_uniqueness_matches_brute_force(self):
+        # Every instance with r <= 3, n <= 3 and nq <= 7, under every allowed set.
+        checked = 0
+        for r in (1, 2, 3):
+            universe = sorted(enumerate_partitions(r))
+            subsets = [
+                PatternSet(r, frozenset(c))
+                for size in range(1, len(universe) + 1)
+                for c in combinations(universe, size)
+            ]
+            for n in (1, 2, 3):
+                for q in range(1, 7 // n + 1):
+                    for types in subsets:
+                        s = SigmaHypergraph(n, r, q, types)
+                        for allowed in subsets:
+                            report = check_tight(s, allowed)
+                            if report.k is None:
+                                continue
+                            count = naive_colourings_up_to_relabel(s, allowed, report.k)
+                            assert report.unique_up_to_relabel == (count == 1), (n, r, q, sorted(types), allowed)
+                            checked += 1
+        assert checked > 400
 
     def test_small_instance_spectrum_matches_explicit_engine(self):
         q = pset(3, (2, 1))

@@ -334,6 +334,7 @@ class TestCliContracts:
             ["gaps", "--r", "3", "--Q", "[[2,1]]", "--n-max", "1", "--q-max", "1", "--Sigma", "5"],
             ["spectrum", "--sigma", "n=2,r=3,q=2", "--Q", "[[2,1]]"],
             ["clique", "--sigma", "n=2,r=3,q=2"],
+            ["clique", "--sigma", "n=2,r=3,q=3", "--Sigma", "[[3]]", "--uncapped"],
             ["build", "--kind", "complete"],
             ["build", "--kind", "family", "--r", "3", "--family", "proper"],
             ["build", "--kind", "sigma", "--sigma", "n=3,r=3,q=3", "--Sigma", "[[2,1]]", "--explicit", "--edge-cap=1"],

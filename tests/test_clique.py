@@ -93,13 +93,11 @@ class TestOmega:
                 assert omega_sigma(s).omega <= bound
 
     def test_uncapped_variant_can_exceed_class_structure(self):
-        # With capacities no longer tied to the structure, the mono-only
-        # family fills arbitrarily: any single class of q >= r is a clique,
-        # and without caps b=(k) is k-full for every k.
+        # Capacities are tied to the structure: the mono-only family's
+        # cliques are single classes, so the answer is q, not the vertex count.
         types = pset(3, (3,))
         s = SigmaHypergraph(2, 3, 3, types)
         assert omega_sigma(s).omega == 3
-        assert omega_sigma(s, structure_caps=False).omega == s.vertex_count
 
 
 class TestBruteForce:

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from patcol.partitions import (
     PatternSet,
     as_partition,
+    bounded_partitions,
     build_family,
     chain,
     classify_robust,
@@ -19,7 +20,7 @@ from patcol.partitions import (
     reduce_once,
 )
 
-from oracles import partition_count
+from oracles import naive_partitions, partition_count
 
 
 def pset(r, *parts):
@@ -79,6 +80,16 @@ class TestEnumeration:
     @pytest.mark.parametrize("r", range(1, 31))
     def test_count_matches_recurrence(self, r):
         assert len(enumerate_partitions(r)) == partition_count(r)
+
+    def test_bounded_matches_filtered_oracle(self):
+        # At most p parts, each at most v, lex-descending: the first-part
+        # bound must not drop or reorder any partition.
+        for m in range(1, 13):
+            every = naive_partitions(m)
+            for p in range(14):
+                for v in range(14):
+                    want = sorted((lam for lam in every if len(lam) <= p and lam[0] <= v), reverse=True)
+                    assert list(bounded_partitions(m, p, v)) == want, (m, p, v)
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):

@@ -202,6 +202,47 @@ class TestDraws:
                     assert list(_sub_multisets(row, a)) == want.get(a, []), (row, a)
 
 
+def _check_class_order_quotient(rng: random.Random, trials: int, n_max: int, q_min: int, q_max: int) -> tuple[int, int]:
+    """Decision searches reach exactly the canonical class orders of every enumerated matrix.
+
+    Returns (witnesses checked, matrices the quotient dropped).
+    """
+    witnesses = dropped = 0
+    for _ in range(trials):
+        r = rng.choice([3, 4])
+        n, q = rng.randint(1, n_max), rng.randint(q_min, q_max)
+        universe = sorted(enumerate_partitions(r))
+        types = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 2))))
+        allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 3))))
+        s = SigmaHypergraph(n, r, q, types)
+        order = {lam: i for i, lam in enumerate(bounded_partitions(q, q, q))}
+
+        def canonical_order(m: DistributionMatrix) -> bool:
+            keys = [order[tuple(sorted(filter(None, row), reverse=True))] for row in m.counts]
+            return all(a < b or a == b and x >= y for a, b, x, y in zip(keys, keys[1:], m.counts, m.counts[1:]))
+
+        def orbit(m: DistributionMatrix) -> tuple:
+            return min(DistributionMatrix.from_rows(n, q, p).counts for p in permutations(m.rows()))
+
+        for k in range(1, n * q + 1):
+            every = list(enumerate_valid_distributions(s, allowed, k))
+            searched: list[DistributionMatrix] = []
+            sigma_search(s, allowed, {k}, lambda m: searched.append(m) and False)
+            assert len(searched) == len(set(searched))
+            assert set(searched) == {m for m in every if canonical_order(m)}
+            dropped += len(every) - len(searched)
+            assert {orbit(m) for m in searched} == {orbit(m) for m in every}
+            w = sigma_exists_k(s, allowed, k)
+            assert (w is None) == (not every), (r, n, q, sorted(types), sorted(allowed), k)
+            if w is None:
+                continue
+            witnesses += 1
+            assert w.k == k and dist_valid(w, types, allowed).ok
+            assert DistributionMatrix.from_rows(n, q, w.rows()) == w
+            assert canonical_order(w), w
+    return witnesses, dropped
+
+
 class TestSigmaExistsK:
     def test_tight_instance_membership(self):
         q = pset(3, (2, 1))
@@ -256,45 +297,24 @@ class TestSigmaExistsK:
         w = sigma_exists_k(s, s.edge_types, 12, deadline=Deadline(30.0))
         assert w is not None and dist_valid(w, s.edge_types, s.edge_types).ok
 
+    def test_r7_tight_instance_decided(self):
+        # H(14,7,37|{(6,1)}): 12 colours are too few.  Count multisets with a
+        # part above every cap are never generated, which decides this in seconds.
+        s = SigmaHypergraph(14, 7, 37, pset(7, (6, 1)))
+        assert sigma_exists_k(s, s.edge_types, 12, deadline=Deadline(60.0)) is None
+
     def test_class_order_quotient_matches_enumeration(self):
         # Decisions search only canonical class orders; enumeration keeps
         # class order, so it is the oracle for which k are feasible and for
         # which matrices the decision search may reach.
-        rng = random.Random(31)
-        witnesses = dropped = 0
-        for _ in range(100):
-            r = rng.choice([3, 4])
-            n, q = rng.randint(1, 3), rng.randint(1, 3)
-            universe = sorted(enumerate_partitions(r))
-            types = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 2))))
-            allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 3))))
-            s = SigmaHypergraph(n, r, q, types)
-            order = {lam: i for i, lam in enumerate(bounded_partitions(q, q, q))}
-
-            def canonical_order(m: DistributionMatrix) -> bool:
-                keys = [order[tuple(sorted(filter(None, row), reverse=True))] for row in m.counts]
-                return all(a < b or a == b and x >= y for a, b, x, y in zip(keys, keys[1:], m.counts, m.counts[1:]))
-
-            def orbit(m: DistributionMatrix) -> tuple:
-                return min(DistributionMatrix.from_rows(n, q, p).counts for p in permutations(m.rows()))
-
-            for k in range(1, n * q + 1):
-                every = list(enumerate_valid_distributions(s, allowed, k))
-                searched: list[DistributionMatrix] = []
-                sigma_search(s, allowed, {k}, lambda m: searched.append(m) and False)
-                assert len(searched) == len(set(searched))
-                assert set(searched) == {m for m in every if canonical_order(m)}
-                dropped += len(every) - len(searched)
-                assert {orbit(m) for m in searched} == {orbit(m) for m in every}
-                w = sigma_exists_k(s, allowed, k)
-                assert (w is None) == (not every), (r, n, q, sorted(types), sorted(allowed), k)
-                if w is None:
-                    continue
-                witnesses += 1
-                assert w.k == k and dist_valid(w, types, allowed).ok
-                assert DistributionMatrix.from_rows(n, q, w.rows()) == w
-                assert canonical_order(w), w
+        witnesses, dropped = _check_class_order_quotient(random.Random(31), 100, 3, 1, 3)
         assert witnesses > 250 and dropped > 1500
+
+    def test_class_order_quotient_with_ties_in_first_part(self):
+        # From q=4 on, two count multisets can share a largest part, so the
+        # lex rule on whole multisets matters, not just on largest parts.
+        witnesses, dropped = _check_class_order_quotient(random.Random(41), 20, 2, 4, 6)
+        assert witnesses > 60 and dropped > 600
 
     def test_deterministic_witness(self):
         q = pset(4, (3, 1))
