@@ -70,7 +70,7 @@ class _Ticker:
 
     __slots__ = ("deadline", "stride", "count")
 
-    def __init__(self, deadline: Deadline | None, stride: int = 2048):
+    def __init__(self, deadline: Deadline | None, stride: int):
         self.deadline = deadline
         self.stride = stride
         self.count = 0

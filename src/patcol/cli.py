@@ -209,9 +209,9 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
     from .hypergraph import build_complete, build_grid, build_ramsey, build_sigma_explicit, write_hypergraph
 
     if args.kind == "complete":
-        h = build_complete(args.n, args.r)
+        h = build_complete(args.n, args.r, edge_cap=cfg.edge_cap)
     elif args.kind == "ramsey":
-        h = build_ramsey(args.n, args.r, args.p)
+        h = build_ramsey(args.n, args.r, args.p, edge_cap=cfg.edge_cap)
     elif args.kind == "grid":
         rp = _pattern_set(args.row_patterns, args.r)
         cp = _pattern_set(args.col_patterns, args.r)
@@ -238,8 +238,7 @@ def _cmd_spectrum(args, cfg) -> tuple[dict, bool]:
 
         h = _load_hypergraph_arg(args, cfg)
         q = _pattern_set(args.Q, h.r)
-        k_max = args.k_max if args.k_max is not None else h.vertex_count
-        spec = spectrum(h, q, k_max=k_max, budget_s=cfg.budget_s)
+        spec = spectrum(h, q, k_max=args.k_max, budget_s=cfg.budget_s)
     else:
         if not args.sigma:
             raise ValueError("give --file, or --sigma with --Sigma")
@@ -247,8 +246,7 @@ def _cmd_spectrum(args, cfg) -> tuple[dict, bool]:
 
         s = _sigma_arg(args)
         q = _pattern_set(args.Q, s.r)
-        k_max = args.k_max if args.k_max is not None else s.vertex_count
-        spec = sigma_spectrum(s, q, k_max=k_max, budget_s=cfg.budget_s)
+        spec = sigma_spectrum(s, q, k_max=args.k_max, budget_s=cfg.budget_s)
     return spec.to_json_dict(), bool(spec.unknown)
 
 
@@ -303,8 +301,6 @@ def _cmd_ramsey(args, cfg) -> tuple[dict, bool]:
 
 
 def _cmd_verify(args, cfg) -> tuple[dict, bool]:
-    if args.suite != "lemmas":
-        raise ValueError(f"unknown suite {args.suite!r}; available: lemmas")
     from .analysis import verify_lemma_constructions
 
     budget = cfg.budget_s if cfg.budget_s is not None else 600.0
@@ -407,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ramsey)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True, choices=["lemmas"])
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(handler=_cmd_verify)
 

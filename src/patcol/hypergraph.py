@@ -69,10 +69,12 @@ def make_hypergraph(r: int, vertex_count: int, edges: Iterable[Iterable[int]]) -
     return Hypergraph(r, vertex_count, frozenset(canon))
 
 
-def build_complete(n: int, r: int) -> Hypergraph:
+def build_complete(n: int, r: int, edge_cap: int = DEFAULT_EDGE_CAP) -> Hypergraph:
     """All r-subsets of n vertices."""
     if r < 1 or n < r:
         raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
+    if comb(n, r) > edge_cap:
+        raise EdgeCapExceeded(f"complete hypergraph needs {comb(n, r)} edges, above the cap of {edge_cap}")
     return Hypergraph(r, n, frozenset(combinations(range(n), r)))
 
 
@@ -222,7 +224,7 @@ def build_grid(
     return Hypergraph(r, n, frozenset(edges))
 
 
-def build_ramsey(n: int, r: int, p: int) -> Hypergraph:
+def build_ramsey(n: int, r: int, p: int, edge_cap: int = DEFAULT_EDGE_CAP) -> Hypergraph:
     """Bundle hypergraph for Ramsey-style colouring checks.
 
     Vertices are the r-subsets of an n-set (in lexicographic order); each
@@ -233,6 +235,8 @@ def build_ramsey(n: int, r: int, p: int) -> Hypergraph:
         raise ValueError(f"need p >= r+1 >= 2, got r={r}, p={p}")
     if n < p:
         raise ValueError(f"need n >= p, got n={n}, p={p}")
+    if comb(n, p) > edge_cap:
+        raise EdgeCapExceeded(f"bundle hypergraph needs {comb(n, p)} edges, above the cap of {edge_cap}")
     index = {c: i for i, c in enumerate(combinations(range(n), r))}
     edges = []
     for pset in combinations(range(n), p):

@@ -9,9 +9,10 @@ classes tractable without ever materialising edges.
 Colour labels are quotiented out: matrices are canonicalised by sorting
 colour columns in descending lexicographic order, which realises the ordering
 "first class of appearance, then count in that class descending".  The search
-introduces colours in first-use order and, within a bundle of colours whose
-placed columns are identical, assigns counts non-increasingly, so each
-colour-relabelling class is enumerated essentially once.
+groups colours by their placed columns, with the colours no class uses yet as
+one more group, and within a group assigns counts non-increasingly along
+ascending colour indices, so each colour-relabelling class is enumerated
+essentially once.
 
 One row check decides every forbidden-pattern question: when a class row is
 appended, each edge placement with one part drawn from that newest row and
@@ -226,25 +227,18 @@ class _Search:
         return hit
 
     def place(
-        self,
-        parts: Partition,
-        idx: int,
-        limit: int,
-        taken: int,
-        prev: int,
-        totals: dict[int, int],
-        trail: list[tuple[int, Row]],
+        self, parts: Partition, idx: int, limit: int, taken: int, prev: int, totals: dict[int, int]
     ) -> tuple[Partition, list[tuple[int, Row]]] | None:
         """Assign parts[idx:] to distinct classes below limit and draw colours for each.
 
         ``taken`` is a bitmask of the classes in use and ``prev`` the class of
-        the previous part.  Returns the first (pattern, placement) whose
-        pattern is forbidden, or None.
+        the previous part.  Returns the first (pattern, placement of
+        parts[idx:]) whose pattern is forbidden, or None.
         """
         self.ticker.tick()
         if idx == len(parts):
             pattern = tuple(sorted(totals.values(), reverse=True))
-            return None if pattern in self.allowed else (pattern, list(trail))
+            return None if pattern in self.allowed else (pattern, [])
         a = parts[idx]
         # Equal parts take strictly increasing classes.
         start = prev + 1 if idx > 0 and parts[idx - 1] == a else 0
@@ -255,15 +249,13 @@ class _Search:
             for draw in self.draws(rows[cls], a):
                 for c, v in draw:
                     totals[c] = totals.get(c, 0) + v
-                trail.append((cls, draw))
-                hit = self.place(parts, idx + 1, limit, taken | 1 << cls, cls, totals, trail)
-                trail.pop()
+                hit = self.place(parts, idx + 1, limit, taken | 1 << cls, cls, totals)
                 for c, v in draw:
                     totals[c] -= v
                     if totals[c] == 0:
                         del totals[c]
                 if hit is not None:
-                    return hit
+                    return hit[0], [(cls, draw), *hit[1]]
         return None
 
     def newest_row_violation(self) -> tuple[Partition, Partition, list[tuple[int, Row]]] | None:
@@ -279,9 +271,9 @@ class _Search:
             if len(rest) > last:
                 continue
             for draw in self.draws(self.rows[last], a):
-                hit = self.place(rest, 0, last, 0, -1, dict(draw), [])
+                hit = self.place(rest, 0, last, 0, -1, dict(draw))
                 if hit is not None:
-                    return sigma, hit[0], [(last, draw)] + hit[1]
+                    return sigma, hit[0], [(last, draw), *hit[1]]
         return None
 
     def ban_threshold(self, colour: int) -> int:
@@ -294,7 +286,7 @@ class _Search:
         """
         placed = len(self.rows)
         for a, rest in self.ban_probes:
-            if len(rest) <= placed and self.place(rest, 0, placed, 0, -1, {colour: a}, []) is not None:
+            if len(rest) <= placed and self.place(rest, 0, placed, 0, -1, {colour: a}) is not None:
                 return a
         return self.q + 1
 
@@ -305,12 +297,13 @@ class _Search:
 
         Rows are enumerated as a count multiset (a partition of q, largest-first,
         so monochromatic reuse comes first) followed by an assignment of counts to
-        colours.  Existing colours are grouped by their placed column; within a
-        group counts fall non-increasingly along ascending colour indices, at most
-        max_fresh fresh colours trail behind the existing ones, and per-colour
-        caps derived from single-colour draw violations cut reuse early.  Only
-        multisets within those bounds are generated: at most one count per
-        colour available, none above the largest cap.
+        colours.  The colours are grouped: used colours by their placed column,
+        then up to max_fresh fresh colours as the last group.  Within a group
+        counts go to ascending colour indices, so they fall along it because
+        parts come largest first, and per-colour caps derived from single-colour
+        draw violations cut reuse early.  Only multisets within those bounds are
+        generated: at most one count per colour available, none above the
+        largest cap.
 
         With ``first`` None no class order is imposed.  Otherwise ``first``
         is the last placed row's multiset and classes come in canonical order:
@@ -325,62 +318,50 @@ class _Search:
         by_column: dict[tuple[int, ...], list[int]] = {}
         for c in range(used):
             by_column.setdefault(tuple(columns[c]), []).append(c)
-        groups = list(by_column.values())  # in order of first colour
+        ncol = used + min(max_fresh, q)
+        groups: list[Sequence[int]] = list(by_column.values())  # in order of first colour
+        if ncol > used:
+            groups.append(range(used, ncol))
         caps = [min(q, self.ban_threshold(g[0]) - 1) for g in groups]
-        fresh_cap = min(q, self.ban_threshold(used) - 1) if max_fresh > 0 else 0
         ngroups = len(groups)
         room = [len(g) for g in groups]
-        last_val = [q] * ngroups
         # The row being built, dense over every colour it may use; the last
         # placed row in the same form when the lex order applies.
-        xs = [0] * (used + min(max_fresh, q))
+        xs = [0] * ncol
         prev = None
         if first is not None:
-            prev = [0] * len(xs)
+            prev = [0] * ncol
             for c, v in self.rows[-1]:
                 prev[c] = v
 
-        def assign(
-            parts: Partition, pi: int, prev_target: int, fresh_used: int, fresh_last: int, tie: bool
-        ) -> Iterator[tuple[Row, int]]:
+        def assign(parts: Partition, pi: int, prev_target: int, tie: bool) -> Iterator[Row]:
             if pi == len(parts):
-                yield tuple((c, v) for c, v in enumerate(xs) if v), used + fresh_used
+                yield tuple((c, v) for c, v in enumerate(xs) if v)
                 return
             v = parts[pi]
             # Equal parts take non-decreasing targets, killing permuted repeats.
             start = prev_target if pi > 0 and parts[pi - 1] == v else 0
-            for target in range(start, ngroups + 1):
-                fresh = target == ngroups
-                if fresh:
-                    if fresh_used >= max_fresh or v > fresh_cap or v > fresh_last:
-                        continue
-                    c = used + fresh_used
-                else:
-                    if room[target] == 0 or v > caps[target] or v > last_val[target]:
-                        continue
-                    c = groups[target][-room[target]]
+            for target in range(start, ngroups):
+                if room[target] == 0 or v > caps[target]:
+                    continue
+                c = groups[target][-room[target]]
                 xs[c] = v
                 # Unplaced counts only raise xs, so once it exceeds prev the row will.
                 if not (tie and xs > prev):
-                    if fresh:
-                        yield from assign(parts, pi + 1, target, fresh_used + 1, v, tie)
-                    else:
-                        room[target] -= 1
-                        old, last_val[target] = last_val[target], v
-                        yield from assign(parts, pi + 1, target, fresh_used, fresh_last, tie)
-                        last_val[target] = old
-                        room[target] += 1
+                    room[target] -= 1
+                    yield from assign(parts, pi + 1, target, tie)
+                    room[target] += 1
                 xs[c] = 0
 
-        top = max([fresh_cap, *caps])
+        top = max(caps)
         if first is not None:
             top = min(top, first[0])
         # Every count needs its own colour, and none may exceed every cap.
-        for lam in bounded_partitions(q, used + max_fresh, top):
+        for lam in bounded_partitions(q, ncol, top):
             if (first is not None and lam > first) or any(dominates(lam, p) for p in self.row_forbidden):
                 continue
-            for row, new_used in assign(lam, 0, 0, 0, q, lam == first):
-                yield row, new_used, lam
+            for row in assign(lam, 0, 0, lam == first):
+                yield row, max(used, row[-1][0] + 1), lam
 
 
 def realizable_patterns(d: DistributionMatrix, edge_types: PatternSet) -> PatternSet:
@@ -501,8 +482,8 @@ def enumerate_valid_distributions(
     reaches one colour-relabelling orbit twice: class order is fixed, and
     once the rows of classes 0..i-1 are placed, the relabellings that keep
     them fixed are exactly the permutations within each group of colours
-    with identical placed columns and among the fresh colours.  Row i gives
-    each such group, and the fresh colours, counts that do not increase along
+    with identical placed columns (the unused colours share the all-zero
+    column).  Row i gives each group counts that do not increase along
     ascending colour indices, and each count multiset is assigned to the
     groups once (equal counts take non-decreasing groups), so given rows
     0..i-1 each orbit has exactly one row i.  A deadline overrun raises

@@ -195,8 +195,10 @@ class TestVerifyCommand:
         assert verdicts.count("true") >= 5
 
     def test_unknown_suite_exit_2(self, capsys):
-        code, _ = run(capsys, "verify", "--suite", "nonsense", "--r", "3")
-        assert code == 2
+        # --suite is an argparse choice, so the usage error exits from parse_args.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nonsense", "--r", "3"])
+        assert exc.value.code == 2
 
 
 class TestCliContracts:
@@ -343,6 +345,9 @@ class TestCliContracts:
             ["classify", "--r", "3", "--Q", "-1e+16"],
             ["spectrum", "--sigma", "n=2,r=3,q=2,q=3", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
             ["spectrum", "--sigma", "n=2,n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
+            ["build", "--kind", "complete", "--n", "10", "--r", "3", "--edge-cap", "5"],
+            ["build", "--kind", "ramsey", "--n", "8", "--r", "2", "--p", "3", "--edge-cap", "5"],
+            ["verify", "--suite", "nonsense", "--r", "3"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, argv):

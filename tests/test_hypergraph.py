@@ -35,6 +35,13 @@ class TestComplete:
         with pytest.raises(ValueError):
             build_complete(2, 3)
 
+    def test_edge_cap_refusal(self):
+        assert len(build_complete(10, 3, edge_cap=120).edges) == 120
+        with pytest.raises(EdgeCapExceeded):
+            build_complete(10, 3, edge_cap=119)
+        with pytest.raises(EdgeCapExceeded):
+            build_complete(10**6, 3)  # refused before any edge is built
+
 
 class TestSigmaExplicit:
     def test_small_counts(self):
@@ -158,6 +165,11 @@ class TestRamsey:
             build_ramsey(6, 3, 3)
         with pytest.raises(ValueError):
             build_ramsey(3, 2, 4)
+
+    def test_edge_cap_refusal(self):
+        assert len(build_ramsey(8, 2, 3, edge_cap=56).edges) == 56
+        with pytest.raises(EdgeCapExceeded):
+            build_ramsey(8, 2, 3, edge_cap=55)
 
 
 class TestFileIO:

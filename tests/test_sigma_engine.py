@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +320,51 @@ class TestSigmaExistsK:
         q = pset(4, (3, 1))
         s = SigmaHypergraph(4, 4, 3, pset(4, (1, 1, 1, 1)))
         assert sigma_exists_k(s, q, 3) == sigma_exists_k(s, q, 3)
+
+
+class TestPinnedSearchOrder:
+    """Search order and witnesses, recorded from the engine and hard-coded.
+
+    A change to how rows are generated must leave these unchanged.
+    """
+
+    def test_tight_witnesses(self):
+        for n, r, q, sigma in ((10, 5, 17, (4, 1)), (8, 4, 10, (2, 2))):
+            s = SigmaHypergraph(n, r, q, pset(r, sigma))
+            assert sigma_exists_k(s, s.edge_types, n).counts == cdmc(s).counts
+
+    def test_first_enumerated_matrices(self):
+        # Uses fresh colours, and rows with equal count multisets.
+        s = SigmaHypergraph(3, 3, 4, pset(3, (2, 1)))
+        got = [m.counts for m in islice(enumerate_valid_distributions(s, pset(3, (2, 1), (1, 1, 1)), 5), 20)]
+        assert got == [
+            ((4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (0, 0, 2, 1, 1)),
+            ((4, 0, 0, 0, 0), (0, 3, 1, 0, 0), (0, 0, 0, 3, 1)),
+            ((4, 0, 0, 0, 0), (0, 3, 1, 0, 0), (0, 0, 0, 2, 2)),
+            ((4, 0, 0, 0, 0), (0, 3, 1, 0, 0), (0, 0, 1, 2, 1)),
+            ((4, 0, 0, 0, 0), (0, 2, 2, 0, 0), (0, 0, 0, 3, 1)),
+            ((4, 0, 0, 0, 0), (0, 2, 2, 0, 0), (0, 0, 0, 2, 2)),
+            ((4, 0, 0, 0, 0), (0, 2, 1, 1, 0), (0, 0, 0, 0, 4)),
+            ((4, 0, 0, 0, 0), (0, 2, 1, 1, 0), (0, 0, 1, 0, 3)),
+            ((4, 0, 0, 0, 0), (0, 2, 1, 1, 0), (0, 0, 1, 1, 2)),
+            ((4, 0, 0, 0, 0), (0, 1, 1, 1, 1), (0, 1, 1, 1, 1)),
+            ((3, 1, 0, 0, 0), (0, 0, 4, 0, 0), (0, 0, 0, 3, 1)),
+            ((3, 1, 0, 0, 0), (0, 0, 4, 0, 0), (0, 0, 0, 2, 2)),
+            ((3, 1, 0, 0, 0), (0, 0, 4, 0, 0), (0, 1, 0, 2, 1)),
+            ((3, 1, 0, 0, 0), (0, 1, 3, 0, 0), (0, 0, 0, 3, 1)),
+            ((3, 1, 0, 0, 0), (0, 1, 3, 0, 0), (0, 0, 0, 2, 2)),
+            ((3, 1, 0, 0, 0), (0, 1, 3, 0, 0), (0, 1, 0, 2, 1)),
+            ((3, 1, 0, 0, 0), (0, 0, 3, 1, 0), (0, 0, 0, 0, 4)),
+            ((3, 1, 0, 0, 0), (0, 0, 3, 1, 0), (0, 1, 0, 0, 3)),
+            ((3, 1, 0, 0, 0), (0, 0, 3, 1, 0), (0, 0, 0, 1, 3)),
+            ((3, 1, 0, 0, 0), (0, 0, 3, 1, 0), (0, 1, 0, 1, 2)),
+        ]
+
+    def test_three_class_dist_valid_witness(self):
+        d = DistributionMatrix.from_rows(4, 3, [{0: 1, 1: 2}, {0: 2, 2: 1}, {1: 1, 2: 2}, {0: 3}])
+        w = dist_valid(d, pset(3, (1, 1, 1)), pset(3, (2, 1))).witness
+        assert (w.pattern, w.part_classes) == ((1, 1, 1), (2, 0, 1))
+        assert w.picks == (((0, 1),), ((1, 1),), ((2, 1),))
 
 
 class TestAgreementWithExplicitEngine:
