@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .budget import BudgetExceeded, Deadline, collect, probe
 from .colouring import Colouring, Spectrum, gap_verdict, is_valid, search_colourings
@@ -226,17 +226,6 @@ def simply_closed_colouring(h: Hypergraph, k: int) -> Colouring:
     return Colouring.of(colours, k)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim: str
-    instance: dict
-    verdict: str  # "true" | "false" | "unknown"
-    witness: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        return {"claim": self.claim, "instance": self.instance, "verdict": self.verdict, "witness": self.witness}
-
-
 def _subsets_smallest_first(r: int) -> Iterator[PatternSet]:
     universe = sorted(enumerate_partitions(r))
     for size in range(1, len(universe) + 1):
@@ -252,119 +241,93 @@ def smallest_qualifying(r: int, predicate) -> PatternSet | None:
     return None
 
 
-def _membership_report(
-    claim: str, instance: dict, probes: Sequence[tuple[int, bool]], results: dict[int, bool | None]
-) -> VerificationReport:
-    flags = [results[k] if want else _not3(results[k]) for k, want in probes]
-    detail = {
-        "probes": [
-            {"k": k, "expected_feasible": want, "observed": _verdict_str(results[k])}
-            for k, want in probes
-        ]
-    }
-    return VerificationReport(claim, instance, _verdict_str(_and3(*flags)), detail)
-
-
-def _gap_report(claim: str, instance: dict, results: dict[int, bool | None]) -> VerificationReport:
-    """Is a gap witnessed among the probed colour counts?
-
-    True needs probed k1 < k2 < k3 with feasible, infeasible, feasible;
-    without such a triple it is unknown while unresolved probes could still
-    form one, and false once they cannot.
-    """
-    detail = {"probes": [{"k": k, "feasible": _verdict_str(results[k])} for k in sorted(results)]}
-    return VerificationReport(claim, instance, _verdict_str(gap_verdict(results)), detail)
-
-
 def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
     """Run the three gap constructions for non-robust pattern sets at one r.
 
     For each construction the smallest qualifying pattern set is selected and
     the claimed feasible / infeasible colour counts are probed: each
     instance's probe set is settled by one search under one time budget, and
-    counts still open when it runs out are unknown.  At r=3 only the
-    not-simply-closed case has a qualifying set; the other two first qualify
-    at r=4.
+    counts still open when it runs out are unknown.  Each instance gives two
+    reports: whether the claimed memberships hold, and whether a gap is
+    witnessed among the probed counts.  At r=3 only the not-simply-closed
+    case has a qualifying set; the other two first qualify at r=4.
     """
     if r not in (3, 4):
         raise ValueError("constructions are verified at r=3 and r=4 only")
     m, rb = monochromatic(r), rainbow(r)
-    reports: list[VerificationReport] = []
-    skipped: list[dict] = []
-
-    def probe_set(claimed: Sequence[int], top: int) -> list[int]:
-        # Claimed counts plus a low sweep and the rainbow end, enough to
-        # witness the gap whenever the construction has one.
-        return sorted({*claimed, *range(1, min(r + 1, top) + 1), top})
-
-    def run(
-        tag: str, shape: str, instance: dict, top: int, search: Callable, structure, q: PatternSet, probes: list
-    ):
-        targets = probe_set([k for k, _ in probes], top)
-        results = collect(search, structure, q, targets=targets, budget_s=budget_s)
-        claim = f"{tag}: claimed spectrum membership on the {shape}"
-        reports.append(_membership_report(claim, instance, probes, results))
-        reports.append(_gap_report(f"{tag}: a spectrum gap is witnessed among the probed counts", instance, results))
-
-    def run_sigma(tag: str, q: PatternSet, s: SigmaHypergraph, probes: list[tuple[int, bool]]):
-        instance = {"n": s.n, "r": s.r, "q": s.q, "Sigma": q.to_json(), "Q": q.to_json()}
-        run(tag, "class-structured instance", instance, s.vertex_count, sigma_search, s, q, probes)
-
-    # Both extreme patterns allowed, but the chain is incomplete.
-    q1 = smallest_qualifying(
-        r, lambda q: m in q and rb in q and not classify_robust(q).simply_closed
-    )
-    if q1 is None:
-        skipped.append({"check": "not-simply-closed", "reason": f"no qualifying pattern set at r={r}"})
-    else:
-        kh = build_complete(r * r, r)
-        run(
+    # Each construction: its tag, the predicate its pattern set Q must meet,
+    # and its claimed instances.  An instance is the complete hypergraph on
+    # r^2 vertices (None) or the class-structured (n, q) with Sigma = Q, and
+    # carries its (k, claimed feasible) probes.
+    constructions = [
+        # Both extreme patterns allowed, but the chain is incomplete.
+        (
             "not-simply-closed",
-            "complete hypergraph",
-            {"vertices": r * r, "r": r, "Q": q1.to_json()},
-            r * r,
-            search_colourings,
-            kh,
-            q1,
-            [(1, True), (r * r, True), (r, False)],
-        )
-        run_sigma("not-simply-closed", q1, SigmaHypergraph(r * r, r, r, q1), [(1, True), (r**3, True), (r, False)])
-        # On the H(r, r, r^2) shape the claimed r-infeasibility does not hold
-        # for any Q: colouring each class in its own colour gives every edge a
-        # pattern equal to its type, which is in Sigma = Q.  Its membership
-        # report is therefore expected to be "false"; with 1 and r both
-        # feasible, a gap below r lies at 2..r-1 (at r=3 the probes find k=2
-        # infeasible).  Nothing here settles what the paper claims for it.
-        run_sigma("not-simply-closed", q1, SigmaHypergraph(r, r, r * r, q1), [(1, True), (r**3, True), (r, False)])
-
-    # Rainbow allowed, monochromatic not, expansion closure fails.
-    q2 = smallest_qualifying(
-        r, lambda q: rb in q and m not in q and not classify_robust(q).expansion_closed
-    )
-    if q2 is None:
-        skipped.append({"check": "not-expansion-closed", "reason": f"no qualifying pattern set at r={r}"})
-    else:
-        run_sigma(
-            "not-expansion-closed", q2, SigmaHypergraph(r, r, r * r, q2), [(r, True), (r**3, True), (r + 1, False)]
-        )
-
-    # Monochromatic allowed, rainbow not, reduction closure fails.
-    q3 = smallest_qualifying(
-        r, lambda q: m in q and rb not in q and not classify_robust(q).reduction_closed
-    )
-    if q3 is None:
-        skipped.append({"check": "not-reduction-closed", "reason": f"no qualifying pattern set at r={r}"})
-    else:
-        run_sigma(
-            "not-reduction-closed", q3, SigmaHypergraph(r * r, r, r, q3), [(1, True), (r * r, True), (r * r - 1, False)]
-        )
-
-    return {
-        "suite": "lemmas",
-        "r": r,
-        "reports": [rep.to_json_dict() for rep in reports],
-        "skipped": skipped,
-    }
+            lambda c: m in c and rb in c and not classify_robust(c).simply_closed,
+            [
+                (None, [(1, True), (r * r, True), (r, False)]),
+                ((r * r, r), [(1, True), (r**3, True), (r, False)]),
+                # On the H(r, r, r^2) shape the claimed r-infeasibility does not hold
+                # for any Q: colouring each class in its own colour gives every edge a
+                # pattern equal to its type, which is in Sigma = Q.  Its membership
+                # report is therefore expected to be "false"; with 1 and r both
+                # feasible, a gap below r lies at 2..r-1 (at r=3 the probes find k=2
+                # infeasible).  Nothing here settles what the paper claims for it.
+                ((r, r * r), [(1, True), (r**3, True), (r, False)]),
+            ],
+        ),
+        # Rainbow allowed, monochromatic not, expansion closure fails.
+        (
+            "not-expansion-closed",
+            lambda c: rb in c and m not in c and not classify_robust(c).expansion_closed,
+            [((r, r * r), [(r, True), (r**3, True), (r + 1, False)])],
+        ),
+        # Monochromatic allowed, rainbow not, reduction closure fails.
+        (
+            "not-reduction-closed",
+            lambda c: m in c and rb not in c and not classify_robust(c).reduction_closed,
+            [((r * r, r), [(1, True), (r * r, True), (r * r - 1, False)])],
+        ),
+    ]
+    reports: list[dict] = []
+    skipped: list[dict] = []
+    for tag, qualifies, instances in constructions:
+        q = smallest_qualifying(r, qualifies)
+        if q is None:
+            skipped.append({"check": tag, "reason": f"no qualifying pattern set at r={r}"})
+            continue
+        for shape, probes in instances:
+            if shape is None:
+                structure, search = build_complete(r * r, r), search_colourings
+                instance, name = {"vertices": r * r, "r": r, "Q": q.to_json()}, "complete hypergraph"
+            else:
+                structure, search = SigmaHypergraph(shape[0], r, shape[1], q), sigma_search
+                instance = {"n": shape[0], "r": r, "q": shape[1], "Sigma": q.to_json(), "Q": q.to_json()}
+                name = "class-structured instance"
+            top = structure.vertex_count
+            # Claimed counts plus a low sweep and the rainbow end, enough to
+            # witness the gap whenever the construction has one.
+            targets = sorted({*(k for k, _ in probes), *range(1, min(r + 1, top) + 1), top})
+            results = collect(search, structure, q, targets=targets, budget_s=budget_s)
+            held = _and3(*(results[k] if want else _not3(results[k]) for k, want in probes))
+            observed = [{"k": k, "expected_feasible": want, "observed": _verdict_str(results[k])} for k, want in probes]
+            reports.append(
+                {
+                    "claim": f"{tag}: claimed spectrum membership on the {name}",
+                    "instance": instance,
+                    "verdict": _verdict_str(held),
+                    "witness": {"probes": observed},
+                }
+            )
+            reports.append(
+                {
+                    "claim": f"{tag}: a spectrum gap is witnessed among the probed counts",
+                    "instance": instance,
+                    "verdict": _verdict_str(gap_verdict(results)),
+                    "witness": {"probes": [{"k": k, "feasible": _verdict_str(f)} for k, f in sorted(results.items())]},
+                }
+            )
+    return {"suite": "lemmas", "r": r, "reports": reports, "skipped": skipped}
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ explicit "unknown" verdict; a budget overrun is never reported as infeasible.
 """
 from __future__ import annotations
 
+import sys
 import time
-from typing import Callable, Iterable
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 
 class BudgetExceeded(Exception):
@@ -63,6 +65,20 @@ def collect(
     except BudgetExceeded:
         results.update(dict.fromkeys(open_counts))
     return results
+
+
+@contextmanager
+def recursion_room(depth: int) -> Iterator[None]:
+    """Raise the interpreter's recursion limit by a search's depth bound while it runs.
+
+    The limit drops by the same amount afterwards, so searches that are
+    suspended and resumed out of order (generators) still restore it.
+    """
+    sys.setrecursionlimit(sys.getrecursionlimit() + depth)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(sys.getrecursionlimit() - depth)
 
 
 class _Ticker:

@@ -410,14 +410,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The commands whose result a time budget can change.
+_SEARCH_COMMANDS = ("spectrum", "tight", "gaps", "ramsey", "verify")
+
+
 def _canonical_inputs(args, cfg: Config) -> dict:
     """The inputs of a run in canonical form, so the digest names the computation, not its spelling.
 
     Pattern flags become sorted pattern sets (the type list of ``gaps
     --Sigma`` keeps its order, which orders the report), ``--sigma`` becomes
-    (n, r, q), ``--file`` and ``@file`` inputs count by content, the budget
-    and edge cap are the effective ones, and the config and catalogue paths
-    are left out.
+    (n, r, q), ``--file`` and ``@file`` inputs count by content, the
+    effective budget counts only for the commands that search, and the edge
+    cap (a run above it fails before it is catalogued) and the config and
+    catalogue paths are left out.
     """
     skip = ("handler", "config", "catalog", "budget", "edge_cap")
     inputs = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
@@ -430,7 +435,9 @@ def _canonical_inputs(args, cfg: Config) -> dict:
     if "file" in inputs:
         with open(inputs["file"], "rb") as fh:
             inputs["file"] = hashlib.sha256(fh.read()).hexdigest()
-    return {**inputs, "budget_s": cfg.budget_s, "edge_cap": cfg.edge_cap}
+    if args.command in _SEARCH_COMMANDS:
+        inputs["budget_s"] = cfg.budget_s
+    return inputs
 
 
 def _catalogue(args, cfg: Config, payload: dict, wall_time_s: float) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .budget import Deadline, _Ticker, collect
+from .budget import Deadline, _Ticker, collect, recursion_room
 from .hypergraph import Hypergraph
 from .partitions import Partition, PatternSet, dominates, enumerate_partitions, monochromatic
 
@@ -302,7 +302,8 @@ def search_colourings(
             colour_of[v] = -1
         return False
 
-    search(0, 0)
+    with recursion_room(nv):
+        search(0, 0)
     return stop
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .budget import Deadline, _Ticker
+from .budget import Deadline, _Ticker, recursion_room
 from .colouring import Spectrum, collect_spectrum
 from .hypergraph import SigmaHypergraph
 from .partitions import Partition, PatternSet, bounded_partitions, dominates, iter_partitions
@@ -438,7 +438,9 @@ def _search_distributions(
                 yield from rec(ci + 1, new_used, lam if sort_classes else None)
             rows.pop()
 
-    yield from rec(0, 0, None)
+    # One level per class, below it the row generators' (up to q deep).
+    with recursion_room(n + q + s.r):
+        yield from rec(0, 0, None)
 
 
 def sigma_exists_k(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -248,6 +250,20 @@ class TestLemmaSuite:
     def test_rejects_other_r(self):
         with pytest.raises(ValueError):
             verify_lemma_constructions(5)
+
+    @pytest.mark.parametrize(
+        "r,budget_s,sha256",
+        [
+            (3, 0, "437d9cf29259e6cfbecf9dcab626c4b7085496a63dcc426263b1dc55d3ed839c"),
+            (3, 120, "423bb4451251d0ac14534e926e5fa88b47d37cc95a1c018f81a899b75e6e808c"),
+            (4, 0, "ea385731b3b55cd7613c2bf84e04fa84dc572057ef5e7b11b33cd50427be3bce"),
+            (4, 120, "2544b5606cdb6ad800432c688649b2d489bcbe8925a3be5ccff4ec35cf1a987a"),
+        ],
+    )
+    def test_whole_payload_is_pinned(self, r, budget_s, sha256):
+        # Every report, probe and skip entry; a zero budget pins the unknowns too.
+        payload = json.dumps(verify_lemma_constructions(r, budget_s=budget_s), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == sha256
 
     def test_tiny_budget_reports_unknown_not_false(self):
         payload = verify_lemma_constructions(4, budget_s=0.0)

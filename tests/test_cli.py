@@ -272,12 +272,31 @@ class TestCliContracts:
             base + ["[[2,1]]", "--catalog", str(other)],
             base + ["[[2,1]]", "--config", str(cfg)],
             base + ["[[2,1]]", "--budget", "5"],
+            base + ["[[2,1]]", "--edge-cap", "5"],
         ):
             assert run(capsys, *argv)[0] == 0
         records = [json.loads(line) for path in (cat, other) for line in path.read_text().splitlines()]
-        spellings, budgeted = records[:4] + records[5:], records[4]
-        assert len(records) == 6 and len({rec["input_digest"] for rec in spellings}) == 1
-        assert budgeted["input_digest"] != spellings[0]["input_digest"]
+        assert len(records) == 7 and len({rec["input_digest"] for rec in records}) == 1
+
+    @pytest.mark.parametrize(
+        "argv,flag,same",
+        [
+            (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--budget", "5"], False),
+            (
+                ["ramsey", "--n", "5", "--r", "2", "--p", "3", "--k", "2", "--Q", "[[2,1],[1,1,1]]"],
+                ["--edge-cap", "5"],
+                True,
+            ),
+        ],
+        ids=["spectrum-budget", "ramsey-edge-cap"],
+    )
+    def test_catalogue_digest_counts_only_what_shapes_the_result(self, capsys, tmp_path, argv, flag, same):
+        """A search's budget is part of its digest; the edge cap, which never shapes a catalogued result, is not."""
+        cat = tmp_path / "cat.ndjson"
+        for extra in ([], flag):
+            assert run(capsys, *argv, *extra, "--catalog", str(cat))[0] == 0
+        digests = [json.loads(line)["input_digest"] for line in cat.read_text().splitlines()]
+        assert len(digests) == 2 and (digests[0] == digests[1]) == same
 
     @pytest.mark.parametrize(
         "key,value",

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -253,6 +254,14 @@ class TestSpectrum:
         assert spec.feasible == ()
         with pytest.raises(ValueError):
             spec.chi
+
+    def test_deeper_than_the_default_recursion_limit(self):
+        # The search recurses once per vertex; 1200 vertices pass the default limit of 1000.
+        limit = sys.getrecursionlimit()
+        h = make_hypergraph(2, 1200, [(0, 1)])
+        spec = spectrum(h, pset(2, (1, 1)), k_max=2)
+        assert spec.feasible == (2,) and not spec.unknown
+        assert sys.getrecursionlimit() == limit
 
     def test_matches_naive_spectrum(self):
         s = SigmaHypergraph(2, 3, 2, pset(3, (2, 1)))

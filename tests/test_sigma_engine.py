@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import combinations, islice, permutations, product
 
@@ -430,6 +431,14 @@ class TestSpectrum:
         q = pset(3, (2, 1))
         spec = sigma_spectrum(SigmaHypergraph(6, 3, 5, q), q)
         assert spec.feasible == (6,) and not spec.unknown
+
+    def test_deeper_than_the_default_recursion_limit(self):
+        # The search recurses once per class; 1200 classes pass the default limit of 1000.
+        limit = sys.getrecursionlimit()
+        q = pset(3, (2, 1))
+        spec = sigma_spectrum(SigmaHypergraph(1200, 3, 1, q), q, k_max=2)
+        assert spec.feasible == (1, 2) and not spec.unknown
+        assert sys.getrecursionlimit() == limit
 
     @pytest.mark.parametrize(
         "n,q,types,want",
