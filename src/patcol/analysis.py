@@ -263,7 +263,7 @@ def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
         # Both extreme patterns allowed, but the chain is incomplete.
         (
             "not-simply-closed",
-            lambda c: m in c and rb in c and not classify_robust(c).simply_closed,
+            lambda q: m in q and rb in q and not classify_robust(q).simply_closed,
             [
                 (None, [(1, True), (r * r, True), (r, False)]),
                 ((r * r, r), [(1, True), (r**3, True), (r, False)]),
@@ -279,13 +279,13 @@ def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
         # Rainbow allowed, monochromatic not, expansion closure fails.
         (
             "not-expansion-closed",
-            lambda c: rb in c and m not in c and not classify_robust(c).expansion_closed,
+            lambda q: rb in q and m not in q and not classify_robust(q).expansion_closed,
             [((r, r * r), [(r, True), (r**3, True), (r + 1, False)])],
         ),
         # Monochromatic allowed, rainbow not, reduction closure fails.
         (
             "not-reduction-closed",
-            lambda c: m in c and rb not in c and not classify_robust(c).reduction_closed,
+            lambda q: m in q and rb not in q and not classify_robust(q).reduction_closed,
             [((r * r, r), [(1, True), (r * r, True), (r * r - 1, False)])],
         ),
     ]
@@ -307,7 +307,7 @@ def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
             top = structure.vertex_count
             # Claimed counts plus a low sweep and the rainbow end, enough to
             # witness the gap whenever the construction has one.
-            targets = sorted({*(k for k, _ in probes), *range(1, min(r + 1, top) + 1), top})
+            targets = {*(k for k, _ in probes), *range(1, min(r + 1, top) + 1), top}
             results = collect(search, structure, q, targets=targets, budget_s=budget_s)
             held = _and3(*(results[k] if want else _not3(results[k]) for k, want in probes))
             observed = [{"k": k, "expected_feasible": want, "observed": _verdict_str(results[k])} for k, want in probes]
