@@ -241,7 +241,10 @@ def smallest_qualifying(r: int, predicate) -> PatternSet | None:
     return None
 
 
-def verify_lemma_constructions(r: int, budget_s: float | None = 600.0) -> dict:
+LEMMA_BUDGET_S = 600.0  # the lemma suite's budget when none is set
+
+
+def verify_lemma_constructions(r: int, budget_s: float | None = LEMMA_BUDGET_S) -> dict:
     """Run the three gap constructions for non-robust pattern sets at one r.
 
     For each construction the smallest qualifying pattern set is selected and

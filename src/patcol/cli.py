@@ -301,12 +301,12 @@ def _cmd_ramsey(args, cfg) -> tuple[dict, bool]:
 
 
 def _cmd_verify(args, cfg) -> tuple[dict, bool]:
-    from .analysis import verify_lemma_constructions
+    from .analysis import LEMMA_BUDGET_S, verify_lemma_constructions
 
-    budget = cfg.budget_s if cfg.budget_s is not None else 600.0
-    payload = verify_lemma_constructions(args.r, budget_s=budget)
-    has_unknown = any(rep["verdict"] == "unknown" for rep in payload["reports"])
-    return payload, has_unknown
+    if cfg.budget_s is None:  # the digest records the budget the suite ran under
+        cfg.budget_s = LEMMA_BUDGET_S
+    payload = verify_lemma_constructions(args.r, budget_s=cfg.budget_s)
+    return payload, any(rep["verdict"] == "unknown" for rep in payload["reports"])
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Partition = tuple[int, ...]
 
@@ -136,8 +136,12 @@ def iter_partitions(r: int) -> Iterator[Partition]:
     return bounded_partitions(r, r, r)
 
 
-def bounded_partitions(m: int, max_parts: int, max_val: int) -> Iterator[Partition]:
-    """Partitions of m into at most max_parts parts, each at most max_val, lex-descending."""
+def bounded_partitions(m: int, max_parts: int, max_val: int, avoid: Sequence[Partition] = ()) -> Iterator[Partition]:
+    """Partitions of m into at most max_parts parts, each at most max_val, lex-descending.
+
+    None that dominates a member of ``avoid`` is built: each member the first
+    part dominates passes its tail to the rest; an empty tail rules it out.
+    """
     if m == 0:
         yield ()
         return
@@ -145,7 +149,10 @@ def bounded_partitions(m: int, max_parts: int, max_val: int) -> Iterator[Partiti
         return
     # A first part below ceil(m / max_parts) leaves too much for the rest.
     for first in range(min(m, max_val), -(-m // max_parts) - 1, -1):
-        for rest in bounded_partitions(m - first, max_parts - 1, first):
+        tails = [p[1:] for p in avoid if first >= p[0]] if avoid else avoid
+        if () in tails:
+            continue
+        for rest in bounded_partitions(m - first, max_parts - 1, first, tails):
             yield (first,) + rest
 
 

@@ -21,7 +21,10 @@ tested when those rows were newest, so checking rows as they are appended
 covers every placement.  The search prunes on it, ``dist_valid`` turns its
 first hit into a witness, and ``realizable_patterns`` collects its hits.
 Additionally, per-colour count caps are derived by testing single-colour
-draws, which kills most branches before a row is even completed.
+draws, which kills most branches before a row is even completed.  No row is
+generated that allows a dead draw, of a part of a realizable type, whose
+pattern no allowed pattern dominates: other parts only add counts, so every
+edge taking the draw is forbidden and no valid matrix holds the row.
 
 One search serves a whole set of target colour counts: rows are enumerated
 the same way whatever the target, which only caps the number of fresh
@@ -183,8 +186,9 @@ class _Search:
     """The state of one search and the tables built once for it.
 
     ``rows`` are the placed class rows, which a caller appends and pops.
-    Every placement ticks the one ticker.  No row is generated whose count
-    multiset dominates a pattern of ``row_forbidden``.
+    Every placement and every count multiset read ticks the one ticker.  No
+    row is generated that allows a draw in ``row_forbidden``, the minimal dead
+    draws: the pattern of an edge taking one dominates it, so is not allowed.
     """
 
     def __init__(
@@ -303,7 +307,7 @@ class _Search:
         parts come largest first, and per-colour caps derived from single-colour
         draw violations cut reuse early.  Only multisets within those bounds are
         generated: at most one count per colour available, none above the
-        largest cap.
+        largest cap, and none dominating a dead draw.
 
         With ``first`` None no class order is imposed.  Otherwise ``first``
         is the last placed row's multiset and classes come in canonical order:
@@ -353,12 +357,11 @@ class _Search:
                     room[target] += 1
                 xs[c] = 0
 
-        top = max(caps)
-        if first is not None:
-            top = min(top, first[0])
+        top = max(caps) if first is None else min(max(caps), first[0])
         # Every count needs its own colour, and none may exceed every cap.
-        for lam in bounded_partitions(q, ncol, top):
-            if (first is not None and lam > first) or any(dominates(lam, p) for p in self.row_forbidden):
+        for lam in bounded_partitions(q, ncol, top, self.row_forbidden):
+            self.ticker.tick()
+            if first is not None and lam > first:
                 continue
             for row in assign(lam, 0, 0, lam == first):
                 yield row, max(used, row[-1][0] + 1), lam
@@ -418,8 +421,10 @@ def _search_distributions(
             raise ValueError(f"need 1 <= k <= {s.vertex_count}, got k={k}")
     n, q = s.n, s.q
     sigma_types = sorted(s.realizable_types(), reverse=True)
-    # An edge inside one class can show pattern p iff the row's count multiset dominates p.
-    row_forbidden = [p for p in iter_partitions(s.r) if p not in allowed] if (s.r,) in sigma_types else []
+    # The dead draws of every part of every type, the minimal ones (see _Search).
+    parts = {a for sigma in sigma_types for a in sigma}
+    dead = {p for a in parts for p in iter_partitions(a) if not any(dominates(w, p) for w in allowed.members)}
+    row_forbidden = sorted(p for p in dead if not any(o != p and dominates(p, o) for o in dead))
     search = _Search(q, sigma_types, allowed.members, deadline, row_forbidden)
     rows = search.rows
 

@@ -46,6 +46,14 @@ class TestCheckTight:
         assert report.minimal_over_q is True
         assert report.spectrum.feasible == (6,)
 
+    @pytest.mark.parametrize("r", range(7, 11))
+    def test_paper_family_tight_at_large_r(self, r):
+        # H(2r, r, (r-1)^2+1 | {(r-1,1)}) is tight at k=2r.  Rows that allow a
+        # dead draw are never generated, which decides each r in milliseconds.
+        q = pset(r, (r - 1, 1))
+        report = check_tight(canonical_tight_instance(q), q, budget_s=60)
+        assert report.verdict is True and report.k == 2 * r
+
     def test_canonical_instance_builder(self):
         q = pset(3, (2, 1))
         s = canonical_tight_instance(q)

@@ -287,11 +287,12 @@ class TestCliContracts:
                 ["--edge-cap", "5"],
                 True,
             ),
+            (["verify", "--suite", "lemmas", "--r", "3"], ["--budget", "600"], True),
         ],
-        ids=["spectrum-budget", "ramsey-edge-cap"],
+        ids=["spectrum-budget", "ramsey-edge-cap", "verify-default-budget"],
     )
     def test_catalogue_digest_counts_only_what_shapes_the_result(self, capsys, tmp_path, argv, flag, same):
-        """A search's budget is part of its digest; the edge cap, which never shapes a catalogued result, is not."""
+        """A search's effective budget is part of its digest; the edge cap, which never shapes a catalogued result, is not."""
         cat = tmp_path / "cat.ndjson"
         for extra in ([], flag):
             assert run(capsys, *argv, *extra, "--catalog", str(cat))[0] == 0

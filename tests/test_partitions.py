@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from patcol.partitions import (
     build_family,
     chain,
     classify_robust,
+    dominates,
     enumerate_partitions,
     ex_closure,
     expand_once,
@@ -90,6 +93,18 @@ class TestEnumeration:
                 for v in range(14):
                     want = sorted((lam for lam in every if len(lam) <= p and lam[0] <= v), reverse=True)
                     assert list(bounded_partitions(m, p, v)) == want, (m, p, v)
+
+    def test_bounded_avoid_matches_filtered_oracle(self):
+        # Partitions dominating a member of avoid are never built; the rest
+        # come in the same order as without avoid.
+        rng = random.Random(5)
+        small = [p for a in range(1, 7) for p in iter_partitions(a)]
+        for m in range(13):
+            for _ in range(20):
+                avoid = rng.sample(small, rng.randint(1, 5))
+                p, v = rng.randint(0, 13), rng.randint(0, 13)
+                want = [lam for lam in bounded_partitions(m, p, v) if not any(dominates(lam, pi) for pi in avoid)]
+                assert list(bounded_partitions(m, p, v, avoid)) == want, (m, p, v, avoid)
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):

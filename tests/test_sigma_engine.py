@@ -1,7 +1,8 @@
 import random
 import sys
 import time
-from itertools import combinations, islice, permutations, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from patcol.budget import BudgetExceeded, Deadline
 from patcol.colouring import Colouring, exists_k_colouring, is_valid
 from patcol.hypergraph import SigmaHypergraph, build_sigma_explicit
-from patcol.partitions import PatternSet, bounded_partitions, enumerate_partitions
+from patcol import sigma_engine
+from patcol.partitions import PatternSet, bounded_partitions, build_family, enumerate_partitions
 from patcol.sigma_engine import (
     DistributionMatrix,
+    _Search,
     _sub_multisets,
     cdmc,
     dist_valid,
@@ -283,13 +286,54 @@ class TestSigmaExistsK:
             sigma_exists_k(s, p4, 25, deadline=Deadline(0.0))
 
     def test_budget_overshoot_is_bounded(self):
-        # The r=6 frontier instance is undecided after 0.2 s; the deadline
-        # must stop it promptly, not at the end of some long inner loop.
-        s = SigmaHypergraph(12, 6, 26, pset(6, (5, 1)))
+        # H(12,3,12|{(2,1)}) under classical colourings is undecided at k=10
+        # after 60 s; the deadline must stop it promptly, not at the end of
+        # some long inner loop.
+        s = SigmaHypergraph(12, 3, 12, pset(3, (2, 1)))
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
-            sigma_exists_k(s, s.edge_types, 11, deadline=Deadline(0.2))
+            sigma_exists_k(s, build_family("classical", 3), 10, deadline=Deadline(0.2))
         assert time.perf_counter() - start < 1.2
+
+    def test_row_walk_checks_deadline(self):
+        # Under class order, the multisets lex-above the last row's are read
+        # and skipped; a run of them must still consult the deadline.
+        search = _Search(60, [(3,)], enumerate_partitions(3).members, Deadline(0.0))
+        search.rows.append(((0, 30),) + tuple((c, 1) for c in range(1, 31)))
+        with pytest.raises(BudgetExceeded):
+            next(search.candidate_rows(31, 0, (30,) + (1,) * 30))
+
+    def test_dropped_multisets_have_dead_draws(self, monkeypatch):
+        # Each multiset the row generator leaves out allows a draw, of some
+        # part of some realizable type, that no choice of the edge's other
+        # vertices' colours turns into an allowed pattern.
+        walks = []
+        real = sigma_engine.bounded_partitions
+        monkeypatch.setattr(sigma_engine, "bounded_partitions", lambda *args: walks.append(args) or real(*args))
+        rng = random.Random(17)
+        dropped = 0
+        for _ in range(150):
+            r = rng.choice([3, 4, 5])
+            universe = sorted(enumerate_partitions(r))
+            s = SigmaHypergraph(rng.randint(1, 4), r, rng.randint(1, 6), PatternSet(r, frozenset(rng.sample(universe, 2))))
+            allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 3))))
+            walks.clear()
+            for k in range(1, min(s.vertex_count, 6) + 1):
+                sigma_exists_k(s, allowed, k)
+            lost = {lam for m, p, v, avoid in walks for lam in set(real(m, p, v)) - set(real(m, p, v, avoid))}
+            for lam in lost:
+                row = tuple(enumerate(lam))
+                assert any(
+                    all(
+                        tuple(sorted((Counter(dict(draw)) + Counter(others)).values(), reverse=True)) not in allowed
+                        for others in combinations_with_replacement(range(len(lam) + r - a), r - a)
+                    )
+                    for sigma in s.realizable_types()
+                    for a in sigma
+                    for draw in naive_draws_by_size(row).get(a, [])
+                ), (s.key(), sorted(allowed), lam)
+            dropped += len(lost)
+        assert dropped > 150
 
     def test_r6_tight_instance_decided(self):
         # H(12,6,26|{(5,1)}), the paper's tight instance at r=6: exactly 12 colours.
