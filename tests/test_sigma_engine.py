@@ -7,10 +7,10 @@ from itertools import combinations, combinations_with_replacement, islice, permu
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patcol import sigma_engine
 from patcol.budget import BudgetExceeded, Deadline
 from patcol.colouring import Colouring, exists_k_colouring, is_valid
 from patcol.hypergraph import SigmaHypergraph, build_sigma_explicit
-from patcol import sigma_engine
 from patcol.partitions import PatternSet, bounded_partitions, build_family, enumerate_partitions
 from patcol.sigma_engine import (
     DistributionMatrix,
