@@ -82,10 +82,6 @@ class TightReport:
             self.minimal_over_q,
         )
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.verdict is None
-
     def to_json_dict(self) -> dict:
         return {
             "spectrum_singleton": _verdict_str(self.spectrum_singleton),
@@ -134,8 +130,8 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
     singleton = _and3(len(spec.feasible) < 2, None if spec.unknown else len(spec.feasible) == 1)
     k0 = spec.feasible[0] if spec.feasible else None
 
-    unique: bool | None = None
-    equal_sizes: bool | None = None
+    # A spectrum proven empty has no colouring to be unique or evenly sized.
+    unique = equal_sizes = None if spec.unknown else False
     if k0 is not None:
         try:
             first, total = None, 0
@@ -147,8 +143,7 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
             unique = total == 1
             equal_sizes = first is not None and len(set(first.colour_totals())) == 1
         except BudgetExceeded:
-            unique = None
-            equal_sizes = None
+            unique = equal_sizes = None
 
     # Removing p breaks colourability iff no k admits a valid distribution
     # under the reduced set: one search over every k, stopped at the first.
@@ -432,6 +427,8 @@ def ramsey_check(
     set must exclude the monochromatic pattern of the bundle uniformity,
     otherwise the statement under test is vacuously false.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1 colours, got k={k}")
     uniformity = comb(p, r)
     if allowed.r != uniformity:
         raise ValueError(f"pattern set must be over r={uniformity} (the bundle uniformity), got {allowed.r}")

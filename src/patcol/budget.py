@@ -67,6 +67,16 @@ def collect(
     return results
 
 
+def check_targets(structure, allowed, targets: Iterable[int]) -> None:
+    """Both engines' input check: the pattern set is over the structure's r, each target in 1..vertex_count."""
+    if allowed.r != structure.r:
+        raise ValueError(f"pattern set is over r={allowed.r}, hypergraph is {structure.r}-uniform")
+    nv = structure.vertex_count
+    for k in targets:
+        if not 1 <= k <= nv:
+            raise ValueError(f"need 1 <= k <= {nv}, got k={k}")
+
+
 @contextmanager
 def recursion_room(depth: int) -> Iterator[None]:
     """Raise the interpreter's recursion limit by a search's depth bound while it runs.

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .budget import BudgetExceeded
 from .catalog import CatalogEntry, catalog_append, digest_inputs
 from .partitions import (
     FAMILY_KINDS,
@@ -40,7 +39,7 @@ from .partitions import (
 # imported inside the handlers that run them, so a cold process pays only for
 # the modules its command needs.
 if TYPE_CHECKING:
-    from .hypergraph import Hypergraph, SigmaHypergraph
+    from .hypergraph import SigmaHypergraph
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -123,7 +122,7 @@ def _json_list(text: str) -> list:
 
 
 def _pattern_set(text: str, r: int) -> PatternSet:
-    return PatternSet.from_json(r, _json_list(text))
+    return PatternSet.of(r, _json_list(text))
 
 
 def _sigma_params(text: str) -> tuple[int, int, int]:
@@ -154,14 +153,6 @@ def _sigma_arg(args) -> SigmaHypergraph:
         raise ValueError("give --sigma n=..,r=..,q=.. with --Sigma")
     n, r, q = _sigma_params(args.sigma)
     return SigmaHypergraph(n, r, q, _pattern_set(args.Sigma, r))
-
-
-def _load_hypergraph_arg(args, cfg: Config) -> Hypergraph:
-    from .hypergraph import build_sigma_explicit, read_hypergraph
-
-    if args.file:
-        return read_hypergraph(args.file)
-    return build_sigma_explicit(_sigma_arg(args), edge_cap=cfg.edge_cap)
 
 
 def _cmd_partitions(args, cfg) -> tuple[dict, bool]:
@@ -235,8 +226,9 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
 def _cmd_spectrum(args, cfg) -> tuple[dict, bool]:
     if args.file or args.explicit:
         from .colouring import spectrum
+        from .hypergraph import build_sigma_explicit, read_hypergraph
 
-        h = _load_hypergraph_arg(args, cfg)
+        h = read_hypergraph(args.file) if args.file else build_sigma_explicit(_sigma_arg(args), edge_cap=cfg.edge_cap)
         q = _pattern_set(args.Q, h.r)
         spec = spectrum(h, q, k_max=args.k_max, budget_s=cfg.budget_s)
     else:
@@ -268,7 +260,7 @@ def _cmd_tight(args, cfg) -> tuple[dict, bool]:
     s = _sigma_arg(args)
     q = _pattern_set(args.Q, s.r) if args.Q else s.edge_types
     report = check_tight(s, q, budget_s=cfg.budget_s)
-    return report.to_json_dict(), report.inconclusive
+    return report.to_json_dict(), report.verdict is None
 
 
 def _cmd_gaps(args, cfg) -> tuple[dict, bool]:
@@ -277,7 +269,7 @@ def _cmd_gaps(args, cfg) -> tuple[dict, bool]:
     q = _pattern_set(args.Q, args.r)
     sigma_sets = None
     if args.Sigma:
-        sigma_sets = [PatternSet.from_json(args.r, [p]) for p in _json_list(args.Sigma)]
+        sigma_sets = [PatternSet.of(args.r, [p]) for p in _json_list(args.Sigma)]
     report = gap_witness_search(
         args.r,
         q,
@@ -465,9 +457,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # the cap exceptions are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except BudgetExceeded:
-        _emit({"verdict": "unknown", "reason": "time budget exhausted"})
-        return EXIT_UNKNOWN
     return EXIT_UNKNOWN if has_unknown else EXIT_OK
 
 

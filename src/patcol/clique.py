@@ -42,8 +42,9 @@ def is_k_full(f: PatternSet, k: int, n_cap: int, q_cap: int) -> KFullWitness | N
     most q_cap, summing to k; the witness requires every draw vector A with
     a_i <= b_i and sum r to have its positive entries form a member of f.
     Those patterns are exactly the partitions of r that b dominates (the j
-    largest entries of a draw sit in j distinct classes), so each pattern is
-    checked once instead of each draw vector.
+    largest entries of a draw sit in j distinct classes), so b is a witness
+    iff it dominates no partition of r outside f: the ``avoid`` rule of
+    ``bounded_partitions``, whose order the first witness keeps.
     """
     if not f.members:
         raise ValueError("k-fullness is undefined for an empty pattern family")
@@ -51,20 +52,17 @@ def is_k_full(f: PatternSet, k: int, n_cap: int, q_cap: int) -> KFullWitness | N
     if k < r:
         raise ValueError(f"k-fullness needs k >= r, got k={k}, r={r}")
     patterns = list(iter_partitions(r))
-    for b in bounded_partitions(k, n_cap, q_cap):
-        needed = tuple(p for p in patterns if dominates(b, p))
-        if all(p in f.members for p in needed):
-            return KFullWitness(k, b, needed)
-    return None
+    b = next(bounded_partitions(k, n_cap, q_cap, [p for p in patterns if p not in f.members]), None)
+    return None if b is None else KFullWitness(k, b, tuple(p for p in patterns if dominates(b, p)))
 
 
 @dataclass(frozen=True)
 class OmegaResult:
     omega: int
-    witness: KFullWitness | None
+    witness: KFullWitness
 
     def to_json_dict(self) -> dict:
-        return {"omega": self.omega, "witness": self.witness.to_json_dict() if self.witness else None}
+        return {"omega": self.omega, "witness": self.witness.to_json_dict()}
 
 
 def omega_sigma(s: SigmaHypergraph) -> OmegaResult:
@@ -73,9 +71,9 @@ def omega_sigma(s: SigmaHypergraph) -> OmegaResult:
     Capacity vectors are capped at n parts of size at most q, since a clique
     draws b_i vertices from class i.  When neither the monochromatic nor the
     rainbow type is allowed, (r-1)^2 bounds the answer and the scan starts there.
-
-    If no k >= r is full, any r-1 vertices still form a clique vacuously, so
-    the result is min(vertex_count, r-1).
+    The scan always ends by k = r: each type fits the caps checked below, and
+    as a capacity vector it dominates no other partition of r, so it
+    certifies that the type set is r-full.
     """
     sig = s.edge_types
     if not sig.members:
@@ -89,11 +87,9 @@ def omega_sigma(s: SigmaHypergraph) -> OmegaResult:
     if monochromatic(r) not in sig and rainbow(r) not in sig:
         upper = min(upper, (r - 1) ** 2)
     # k-fullness is downward monotone, so the first hit from above is the max.
-    for k in range(upper, r - 1, -1):
-        w = is_k_full(sig, k, s.n, s.q)
-        if w is not None:
-            return OmegaResult(k, w)
-    return OmegaResult(min(s.vertex_count, r - 1), None)
+    fulls = (is_k_full(sig, k, s.n, s.q) for k in range(upper, r - 1, -1))
+    w = next(w for w in fulls if w is not None)
+    return OmegaResult(w.k, w)
 
 
 def brute_force_clique(h: Hypergraph, vertex_cap: int = 40) -> int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .budget import Deadline, _Ticker, collect, recursion_room
+from .budget import Deadline, _Ticker, check_targets, collect, recursion_room
 from .hypergraph import Hypergraph
 from .partitions import Partition, PatternSet, dominates, enumerate_partitions, monochromatic
 
@@ -82,13 +82,6 @@ class ValidityReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "valid": self.ok,
-            "violating_edge": list(self.violating_edge) if self.violating_edge else None,
-            "violating_pattern": list(self.violating_pattern) if self.violating_pattern else None,
-        }
 
 
 def is_valid(h: Hypergraph, c: Colouring, allowed: PatternSet) -> ValidityReport:
@@ -137,23 +130,15 @@ def search_colourings(
     the colouring that stopped it, or None once the search is exhausted.
     Raises BudgetExceeded if the deadline runs out first.
     """
-    if allowed.r != h.r:
-        raise ValueError(f"pattern set is over r={allowed.r}, hypergraph is {h.r}-uniform")
-    nv = h.vertex_count
-    for k in targets:
-        if not 1 <= k <= nv:
-            raise ValueError(f"need 1 <= k <= {nv}, got k={k}")
+    check_targets(h, allowed, targets)
     if not targets:
         return None
     lo, hi = min(targets), max(targets)
     edges = h.sorted_edges()
-    if edges:
-        usable = [p for p in allowed if len(p) <= hi]
-        if not usable:
-            return None
-    else:
-        usable = list(allowed)
-    r = h.r
+    usable = [p for p in allowed if len(p) <= hi]
+    if edges and not usable:
+        return None
+    nv, r = h.vertex_count, h.r
     allowed_members = allowed.members
 
     # Interned edge states.  sigs[s] is the non-increasing tuple of an edge's
@@ -429,7 +414,6 @@ def classical_chromatic_number(h: Hypergraph, budget_s: float | None = None) -> 
     if h.r == 1:
         raise ValueError("1-uniform hypergraphs with edges admit no proper colouring")
     proper = enumerate_partitions(h.r).without(monochromatic(h.r))
-    for k in range(1, h.vertex_count + 1):
-        if exists_k_colouring(h, k, proper, deadline=Deadline(budget_s)) is not None:
-            return k
-    raise RuntimeError("no proper colouring found up to vertex_count; this should be impossible")
+    # Some k is found: at k = vertex_count every edge is rainbow, hence proper.
+    ks = range(1, h.vertex_count + 1)
+    return next(k for k in ks if exists_k_colouring(h, k, proper, deadline=Deadline(budget_s)) is not None)

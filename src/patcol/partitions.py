@@ -124,10 +124,6 @@ class PatternSet:
     def to_json(self) -> list[list[int]]:
         return [list(p) for p in self]
 
-    @classmethod
-    def from_json(cls, r: int, data: Iterable[Iterable[int]]) -> "PatternSet":
-        return cls.of(r, data)
-
 
 def iter_partitions(r: int) -> Iterator[Partition]:
     """Yield all partitions of r in descending lexicographic order."""

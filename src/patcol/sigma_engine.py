@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .budget import Deadline, _Ticker, recursion_room
+from .budget import Deadline, _Ticker, check_targets, recursion_room
 from .colouring import Spectrum, collect_spectrum
 from .hypergraph import SigmaHypergraph
 from .partitions import Partition, PatternSet, bounded_partitions, dominates, iter_partitions
@@ -60,11 +60,11 @@ Row = tuple[tuple[int, int], ...]
 # split of a among the colours) and at most the product of min(count, a) + 1
 # (every vector of takes), and one of the two must be at most this.  Longer
 # lists are generated lazily and never stored, so a placement that stops at
-# its first forbidden hit stops building draws too.  On H(10,5,17|{(3,2)})
-# at k=9 and k=11, building every list in full made 1.76M draws, of which
-# the searches read 86k, in 4.5 s of CPU (CPython 3.11, 2-vCPU Xeon VM);
-# generating the long ones lazily makes 48k draws in 0.85 s.  Caching every
-# list instead would hold 1.39M draws over 27.5k keys.
+# its first forbidden hit stops building draws too.  perfbench, seed 2,
+# medians of 3 interleaved runs (CPython 3.11, 2-vCPU Xeon VM, scaled to its
+# reference speed): caching no list takes `sigma-grid` from 0.47 to 0.70 s;
+# caching every list takes `sigma-tight` from 0.145 to 0.230 s and its peak
+# RSS from 22.2 to 34.0 MB.
 _CACHED_DRAWS_MAX = 16
 
 
@@ -172,14 +172,6 @@ class ForbiddenWitness:
     edge_type: Partition
     part_classes: tuple[int, ...]
     picks: tuple[Row, ...]  # per part: ((colour, count), ...)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pattern": list(self.pattern),
-            "edge_type": list(self.edge_type),
-            "part_classes": list(self.part_classes),
-            "picks": [[[c, v] for c, v in pick] for pick in self.picks],
-        }
 
 
 class _Search:
@@ -414,11 +406,7 @@ def _search_distributions(
     ``sort_classes`` only class orders canonical under class permutation are
     searched (see the module docstring); without it every class order is.
     """
-    if allowed.r != s.r:
-        raise ValueError(f"pattern set is over r={allowed.r}, structure is {s.r}-uniform")
-    for k in targets:
-        if not 1 <= k <= s.vertex_count:
-            raise ValueError(f"need 1 <= k <= {s.vertex_count}, got k={k}")
+    check_targets(s, allowed, targets)
     n, q = s.n, s.q
     sigma_types = sorted(s.realizable_types(), reverse=True)
     # The dead draws of every part of every type, the minimal ones (see _Search).

@@ -120,6 +120,30 @@ class TestCheckTight:
         report = check_tight(SigmaHypergraph(6, 3, 5, q), q)
         assert report.minimality == (((2, 1), True),)
 
+    @pytest.mark.parametrize(
+        "s,allowed,budget_s,settled",
+        [
+            # No count is feasible and none is unknown: there is no colouring at all.
+            (SigmaHypergraph(2, 3, 2, pset(3, (2, 1))), PatternSet.of(3, []), None, False),
+            # No count found before the budget ran out, and the rest unknown.
+            (SigmaHypergraph(8, 3, 8, pset(3, (2, 1), (1, 1, 1))), pset(3, (2, 1)), 0, None),
+        ],
+        ids=["proven-empty", "overrun"],
+    )
+    def test_no_feasible_count(self, s, allowed, budget_s, settled):
+        report = check_tight(s, allowed, budget_s=budget_s)
+        assert report.k is None and report.spectrum.feasible == ()
+        assert bool(report.spectrum.unknown) == (settled is None)
+        assert report.unique_up_to_relabel is settled and report.equal_class_sizes is settled
+
+    def test_uniqueness_overrun_stays_unknown(self):
+        # A zero budget's first clock check always finds the deadline passed.
+        q = pset(3, (2, 1))
+        report = check_tight(SigmaHypergraph(6, 3, 5, q), q, budget_s=0)
+        assert report.k == 6 and report.spectrum.unknown == tuple(k for k in range(1, 31) if k != 6)
+        assert report.unique_up_to_relabel is None and report.equal_class_sizes is None
+        assert report.verdict is None
+
     def test_json_verdict_strings(self):
         q = pset(3, (2, 1))
         data = check_tight(SigmaHypergraph(6, 3, 5, q), q).to_json_dict()
@@ -363,6 +387,10 @@ class TestRamseyCheck:
     def test_monochromatic_pattern_rejected(self):
         with pytest.raises(ValueError, match="monochromatic"):
             ramsey_check(6, 2, 3, 2, enumerate_partitions(3))
+
+    def test_overrun_is_unknown_not_uncolourable(self):
+        report = ramsey_check(17, 2, 3, 3, pset(3, (2, 1), (1, 1, 1)), budget_s=0)
+        assert report.colourable is None and report.holds is None and report.witness is None
 
     def test_wrong_uniformity_rejected(self):
         with pytest.raises(ValueError, match="bundle uniformity"):

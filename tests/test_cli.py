@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -105,6 +106,10 @@ class TestBuildCommand:
         code, data = run(capsys, "build", "--kind", "ramsey", "--n", "6", "--r", "2", "--p", "3")
         assert code == 0 and data["vertices"] == 15 and len(data["edges"]) == 20
 
+    def test_alpha_beta_family(self, capsys):
+        code, data = run(capsys, "build", "--kind", "family", "--family", "alpha-beta", "--r", "4", "--alpha", "2", "--beta", "3")
+        assert code == 0 and data["patterns"] == [[3, 1], [2, 2], [2, 1, 1]]
+
     def test_invalid_arguments_exit_2(self, capsys):
         code, _ = run(capsys, "build", "--kind", "complete", "--n", "2", "--r", "3")
         assert code == 2
@@ -123,6 +128,13 @@ class TestSpectrumCommand:
         run(capsys, "build", "--kind", "complete", "--n", "4", "--r", "3", "--out", out)
         code, data = run(capsys, "spectrum", "--file", out, "--Q", "[[2,1],[1,1,1]]", "--k-max", "4")
         assert code == 0 and data["feasible"] == [2, 3, 4]
+
+    def test_explicit_engine_prints_the_same(self, capsys):
+        argv = ["spectrum", "--sigma", "n=3,r=4,q=3", "--Sigma", "[[3,1]]", "--Q", "[[3,1]]"]
+        assert main(argv) == 0
+        by_distribution = capsys.readouterr().out
+        assert main(argv + ["--explicit"]) == 0
+        assert capsys.readouterr().out == by_distribution
 
     def test_unknowns_exit_3(self, capsys):
         code, data = run(
@@ -161,6 +173,10 @@ class TestTightCommand:
         code, data = run(capsys, "tight", "--sigma", "n=6,r=3,q=5", "--Sigma", "[[2,1]]")
         assert code == 0 and data["verdict"] == "true" and data["k"] == 6
 
+    def test_budget_overrun_is_unknown_and_exits_3(self, capsys):
+        code, data = run(capsys, "tight", "--sigma", "n=6,r=3,q=5", "--Sigma", "[[2,1]]", "--budget", "0")
+        assert code == 3 and data["verdict"] == "unknown" and data["unique_up_to_relabel"] == "unknown"
+
 
 class TestGapsCommand:
     def test_small_robust_grid_empty(self, capsys):
@@ -168,6 +184,12 @@ class TestGapsCommand:
             capsys, "gaps", "--r", "3", "--Q", "[[3],[2,1],[1,1,1]]", "--n-max", "2", "--q-max", "2"
         )
         assert code == 0 and data["hits"] == []
+
+    def test_lists_a_gap_hit(self, capsys):
+        code, data = run(capsys, "gaps", "--r", "3", "--Q", "[[3],[1,1,1]]", "--n-max", "1", "--q-max", "3")
+        assert code == 0 and data["unresolved"] == []
+        spectrum = {"feasible": [1, 3], "gaps": [2], "probed_max": 3, "unknown": []}
+        assert data["hits"][0] == {"n": 1, "q": 3, "Sigma": [[3]], "spectrum": spectrum}
 
     def test_budget_overrun_is_unresolved_and_exits_3(self, capsys):
         code, data = run(
@@ -185,6 +207,11 @@ class TestRamseyCommand:
         assert code == 0 and data["colourable"] == "false"
         code, data = run(capsys, "ramsey", "--n", "5", "--r", "2", "--p", "3", "--k", "2", "--Q", "[[2,1],[1,1,1]]")
         assert code == 0 and data["colourable"] == "true"
+
+    def test_budget_overrun_is_unknown_and_exits_3(self, capsys):
+        argv = ["ramsey", "--n", "17", "--r", "2", "--p", "3", "--k", "3", "--Q", "[[2,1],[1,1,1]]", "--budget", "0"]
+        code, data = run(capsys, *argv)
+        assert code == 3 and data["colourable"] == "unknown" and data["witness"] is None
 
 
 class TestVerifyCommand:
@@ -299,6 +326,26 @@ class TestCliContracts:
         digests = [json.loads(line)["input_digest"] for line in cat.read_text().splitlines()]
         assert len(digests) == 2 and (digests[0] == digests[1]) == same
 
+    def test_catalogue_digest_counts_file_content_not_path(self, capsys, tmp_path):
+        cat, first, second = tmp_path / "cat.ndjson", tmp_path / "a.json", tmp_path / "b.json"
+        run(capsys, "build", "--kind", "complete", "--n", "4", "--r", "3", "--out", str(first))
+        second.write_bytes(first.read_bytes())
+        argv = ["spectrum", "--Q", "[[2,1],[1,1,1]]", "--catalog", str(cat), "--file"]
+        assert run(capsys, *argv, str(first))[0] == 0
+        assert run(capsys, *argv, str(second))[0] == 0
+        run(capsys, "build", "--kind", "complete", "--n", "5", "--r", "3", "--out", str(second))
+        assert run(capsys, *argv, str(second))[0] == 0
+        digests = [json.loads(line)["input_digest"] for line in cat.read_text().splitlines()]
+        assert digests[0] == digests[1] != digests[2]
+
+    def test_config_not_an_object_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1,2]")
+        code = main(["partitions", "--r", "3", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}: config must be a JSON object\n"
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -368,6 +415,10 @@ class TestCliContracts:
             ["build", "--kind", "complete", "--n", "10", "--r", "3", "--edge-cap", "5"],
             ["build", "--kind", "ramsey", "--n", "8", "--r", "2", "--p", "3", "--edge-cap", "5"],
             ["verify", "--suite", "nonsense", "--r", "3"],
+            ["classify", "--r", "3", "--Q", "[[2,1]"],
+            ["spectrum", "--sigma", "n=2,r=x,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
+            ["spectrum", "--sigma", "n=2,r=3", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
+            ["ramsey", "--n", "6", "--r", "2", "--p", "3", "--k", "0", "--Q", "[[2,1],[1,1,1]]"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, argv):
@@ -378,6 +429,55 @@ class TestCliContracts:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# The README's quick-start commands (all but verify, whose payload
+# test_analysis pins) with the sha256 of their stdout; each exits 0.
+_README_COMMANDS = {
+    "partitions": (["partitions", "--r", "4"], "64dbded43f2b8f877f775391e62bc24b371abd41ea20145b5008d6aaf8adff03"),
+    "closure": (["closure", "--r", "6", "--rd", "[[3,1,1,1]]"], "e69fb82431480bad24220717da2731eaaaa0e77960ab7032f0da04ca8c65bcf7"),
+    "classify": (["classify", "--r", "4", "--Q", "[[3,1]]"], "4d8f0cbf2f120d2d9a7500dbb8589404ac045474542481c37ccb384ea08637cd"),
+    "build": (
+        ["build", "--kind", "grid", "--rows", "4", "--cols", "2", "--cell-size", "2"]
+        + ["--row-patterns", "[[3,1]]", "--col-patterns", "[[3,1]]", "--r", "4", "--out", "grid.json"],
+        "fdff86c3fa8ac164711457ee847e35d8f6efa68554fd09e9ce309d42de2540c0",
+    ),
+    "spectrum-file": (
+        ["spectrum", "--file", "grid.json", "--Q", "[[3,1]]", "--k-max", "4"],
+        "8da743ceb25447292b718a77f7ffbeb40ff4f0b992cc0d052588e4f7de4bc9b6",
+    ),
+    "spectrum-sigma": (
+        ["spectrum", "--sigma", "n=3,r=4,q=3", "--Sigma", "[[3,1]]", "--Q", "[[3,1]]"],
+        "b0e73f7f28f20f13589ab776b5ff74a08aced38147fa444430cdc3e199682381",
+    ),
+    "clique": (
+        ["clique", "--sigma", "n=3,r=3,q=3", "--Sigma", "[[2,1]]"],
+        "3fa8af94b17512522f676dcd01245fe6d90933f46ceca126b1761ef451a7d9d9",
+    ),
+    "tight": (
+        ["tight", "--sigma", "n=6,r=3,q=5", "--Sigma", "[[2,1]]"],
+        "22f5969a21e51eabd959234896bf0a13780aa8c19b7a78e8d74234c0bc09b288",
+    ),
+    "gaps": (
+        ["gaps", "--r", "3", "--Q", "[[3],[1,1,1]]", "--n-max", "3", "--q-max", "3"],
+        "a495674ca0e84f7eaebea496d6f01645b368cb3a3d256bf6a64b125d4a1ce712",
+    ),
+    "ramsey": (
+        ["ramsey", "--n", "6", "--r", "2", "--p", "3", "--k", "2", "--Q", "[[2,1],[1,1,1]]"],
+        "980dcf2e579041251cfd2c03ab74805e259b4bccf78df9d5fa6e02eb407c83a7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_README_COMMANDS))
+def test_readme_command_output_is_pinned(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if name == "spectrum-file":  # reads the grid that the build command writes
+        assert main(_README_COMMANDS["build"][0]) == 0
+        capsys.readouterr()
+    argv, sha256 = _README_COMMANDS[name]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -284,7 +284,7 @@ class TestPatternSet:
 
     def test_json_roundtrip(self):
         ps = pset(4, (2, 2), (3, 1))
-        assert PatternSet.from_json(4, ps.to_json()).members == ps.members
+        assert PatternSet.of(4, ps.to_json()).members == ps.members
 
     def test_mixed_r_rejected(self):
         with pytest.raises(ValueError):
