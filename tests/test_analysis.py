@@ -125,7 +125,7 @@ class TestCheckTight:
         [
             # No count is feasible and none is unknown: there is no colouring at all.
             (SigmaHypergraph(2, 3, 2, pset(3, (2, 1))), PatternSet.of(3, []), None, False),
-            # No count found before the budget ran out, and the rest unknown.
+            # The budget ran out before any count was found: every count is unknown.
             (SigmaHypergraph(8, 3, 8, pset(3, (2, 1), (1, 1, 1))), pset(3, (2, 1)), 0, None),
         ],
         ids=["proven-empty", "overrun"],
