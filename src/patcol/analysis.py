@@ -15,10 +15,9 @@ a definite answer.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .budget import BudgetExceeded, Deadline, collect, probe
 from .colouring import Colouring, Spectrum, gap_verdict, is_valid, search_colourings
@@ -52,8 +51,7 @@ def _verdict_str(flag: bool | None) -> str:
     return {True: "true", False: "false"}.get(flag, "unknown")
 
 
-@dataclass(frozen=True)
-class TightReport:
+class TightReport(NamedTuple):
     """The four tight-colourability conditions, each three-valued.
 
     Tight means: the spectrum is a single value k, the k-colouring is unique
@@ -328,8 +326,7 @@ def verify_lemma_constructions(r: int, budget_s: float | None = LEMMA_BUDGET_S) 
     return {"suite": "lemmas", "r": r, "reports": reports, "skipped": skipped}
 
 
-@dataclass(frozen=True)
-class GapHit:
+class GapHit(NamedTuple):
     n: int
     q: int
     sigma: PatternSet
@@ -344,8 +341,7 @@ class GapHit:
         }
 
 
-@dataclass(frozen=True)
-class GapSearchReport:
+class GapSearchReport(NamedTuple):
     hits: tuple[GapHit, ...]
     unresolved: tuple[dict, ...]  # grid points whose gap status stayed unknown
 
@@ -390,8 +386,7 @@ def gap_witness_search(
     return GapSearchReport(tuple(hits), tuple(unresolved))
 
 
-@dataclass(frozen=True)
-class RamseyReport:
+class RamseyReport(NamedTuple):
     n: int
     r: int
     p: int
@@ -405,14 +400,8 @@ class RamseyReport:
         return _not3(self.colourable)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "p": self.p,
-            "k": self.k,
-            "colourable": _verdict_str(self.colourable),
-            "witness": self.witness.to_json_dict() if self.witness else None,
-        }
+        witness = self.witness.to_json_dict() if self.witness else None
+        return {**self._asdict(), "colourable": _verdict_str(self.colourable), "witness": witness}
 
 
 def ramsey_check(

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def canonical_json(obj) -> str:
@@ -26,24 +26,16 @@ def digest_inputs(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     input_digest: str
     result: object
     engine_version: str
     wall_time_s: float
     command: str = ""
-    conflict: bool = field(default=False)
+    conflict: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "input_digest": self.input_digest,
-            "result": self.result,
-            "engine_version": self.engine_version,
-            "wall_time_s": self.wall_time_s,
-            "command": self.command,
-            "conflict": self.conflict,
-        }
+        return self._asdict()
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CatalogEntry":
@@ -90,10 +82,8 @@ def catalog_append(entry: CatalogEntry, path: str) -> CatalogEntry:
                     file=sys.stderr,
                 )
                 break
-        flagged = CatalogEntry(
-            entry.input_digest, entry.result, entry.engine_version, entry.wall_time_s, entry.command, conflict
-        )
-        fh.write(canonical_json(flagged.to_json_dict()) + "\n")
+        flagged = entry._replace(conflict=conflict)
+        fh.write(canonical_json(flagged._asdict()) + "\n")
     return flagged
 
 

@@ -14,16 +14,13 @@ which override the optional JSON config file, which overrides defaults.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import CatalogEntry, catalog_append, digest_inputs
 from .partitions import (
     FAMILY_KINDS,
     PatternSet,
@@ -36,8 +33,8 @@ from .partitions import (
 )
 
 # The engines (analysis, clique, colouring, hypergraph, sigma_engine) are
-# imported inside the handlers that run them, so a cold process pays only for
-# the modules its command needs.
+# imported inside the handlers that run them, and the catalogue only under
+# --catalog, so a cold process pays only for the modules its command needs.
 if TYPE_CHECKING:
     from .hypergraph import SigmaHypergraph
 
@@ -48,8 +45,9 @@ EXIT_UNKNOWN = 3
 ENV_PREFIX = "PATCOL_"
 
 
-@dataclass
 class Config:
+    """The settings of one run; _load_config sets them on an instance."""
+
     budget_s: float | None = None
     edge_cap: int = 10**7
     catalog_path: str | None = None
@@ -425,6 +423,8 @@ def _canonical_inputs(args, cfg: Config) -> dict:
     if "sigma" in inputs:
         inputs["sigma"] = _sigma_params(inputs["sigma"])
     if "file" in inputs:
+        import hashlib
+
         with open(inputs["file"], "rb") as fh:
             inputs["file"] = hashlib.sha256(fh.read()).hexdigest()
     if args.command in _SEARCH_COMMANDS:
@@ -435,6 +435,8 @@ def _canonical_inputs(args, cfg: Config) -> dict:
 def _catalogue(args, cfg: Config, payload: dict, wall_time_s: float) -> None:
     if not cfg.catalog_path:
         return
+    from .catalog import CatalogEntry, catalog_append, digest_inputs
+
     entry = CatalogEntry(
         input_digest=digest_inputs(_canonical_inputs(args, cfg)),
         result=payload,

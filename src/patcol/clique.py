@@ -10,8 +10,8 @@ hypergraphs serves as the independent oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .hypergraph import Hypergraph, SigmaHypergraph
 from .partitions import Partition, PatternSet, bounded_partitions, dominates, iter_partitions, monochromatic, rainbow
@@ -21,8 +21,7 @@ class VertexCapExceeded(ValueError):
     """Brute-force clique search refused: instance above the vertex cap (invalid input)."""
 
 
-@dataclass(frozen=True)
-class KFullWitness:
+class KFullWitness(NamedTuple):
     k: int
     b: tuple[int, ...]
     patterns_used: tuple[Partition, ...]
@@ -56,8 +55,7 @@ def is_k_full(f: PatternSet, k: int, n_cap: int, q_cap: int) -> KFullWitness | N
     return None if b is None else KFullWitness(k, b, tuple(p for p in patterns if dominates(b, p)))
 
 
-@dataclass(frozen=True)
-class OmegaResult:
+class OmegaResult(NamedTuple):
     omega: int
     witness: KFullWitness
 

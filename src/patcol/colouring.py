@@ -33,16 +33,14 @@ witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .budget import Deadline, _Ticker, check_targets, collect, recursion_room
 from .hypergraph import Hypergraph
 from .partitions import Partition, PatternSet, dominates, enumerate_partitions, monochromatic
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(NamedTuple):
     """Assignment vertex index -> colour index in [0, k), using all k colours."""
 
     colours: tuple[int, ...]
@@ -66,16 +64,16 @@ class Colouring:
 
 def pat(edge: Iterable[int], c: Colouring) -> Partition:
     """Colour pattern of an edge: the non-increasing colour multiplicities."""
+    cols = c.colours
     counts: dict[int, int] = {}
     for v in edge:
-        counts[c.colours[v]] = counts.get(c.colours[v], 0) + 1
+        counts[cols[v]] = counts.get(cols[v], 0) + 1
     # Counts are positive ints: as_partition's input checks would only slow
     # this per-edge path down.
     return tuple(sorted(counts.values(), reverse=True))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     ok: bool
     violating_edge: tuple[int, ...] | None = None
     violating_pattern: Partition | None = None
@@ -321,8 +319,7 @@ def gap_verdict(results: Mapping[int, bool | None]) -> bool | None:
     return False
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Feasible colour counts up to probed_max, with unresolved ks kept apart."""
 
     feasible: tuple[int, ...]
@@ -407,7 +404,8 @@ def spectrum(
 def classical_chromatic_number(h: Hypergraph, budget_s: float | None = None) -> int:
     """Least k admitting a colouring with no monochromatic edge.
 
-    An edgeless hypergraph has chromatic number 1 by convention.
+    An edgeless hypergraph has chromatic number 1 by convention.  One budget
+    covers the whole k loop; BudgetExceeded escapes if it runs out first.
     """
     if not h.edges:
         return 1
@@ -415,5 +413,5 @@ def classical_chromatic_number(h: Hypergraph, budget_s: float | None = None) -> 
         raise ValueError("1-uniform hypergraphs with edges admit no proper colouring")
     proper = enumerate_partitions(h.r).without(monochromatic(h.r))
     # Some k is found: at k = vertex_count every edge is rainbow, hence proper.
-    ks = range(1, h.vertex_count + 1)
-    return next(k for k in ks if exists_k_colouring(h, k, proper, deadline=Deadline(budget_s)) is not None)
+    ks, deadline = range(1, h.vertex_count + 1), Deadline(budget_s)
+    return next(k for k in ks if exists_k_colouring(h, k, proper, deadline=deadline) is not None)

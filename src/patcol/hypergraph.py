@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import comb, factorial, perm, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import Partition, PatternSet, as_partition
 
@@ -28,8 +27,7 @@ class EdgeCapExceeded(ValueError):
     """Explicit construction would materialise more edges than the cap allows (invalid input)."""
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple):
     r: int
     vertex_count: int
     edges: frozenset[tuple[int, ...]]
@@ -78,8 +76,14 @@ def build_complete(n: int, r: int, edge_cap: int = DEFAULT_EDGE_CAP) -> Hypergra
     return Hypergraph(r, n, frozenset(combinations(range(n), r)))
 
 
-@dataclass(frozen=True)
-class SigmaHypergraph:
+class _SigmaFields(NamedTuple):
+    n: int
+    r: int
+    q: int
+    edge_types: PatternSet
+
+
+class SigmaHypergraph(_SigmaFields):
     """Implicit class-structured hypergraph: n classes of q vertices.
 
     An r-subset is an edge exactly when the partition formed by its non-zero
@@ -89,16 +93,19 @@ class SigmaHypergraph:
     or a part larger than q) are legal but flagged by unrealizable_types.
     """
 
-    n: int
-    r: int
-    q: int
-    edge_types: PatternSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.q < 1 or self.r < 1:
+    def __new__(cls, n: int, r: int, q: int, edge_types: PatternSet) -> "SigmaHypergraph":
+        if n < 1 or q < 1 or r < 1:
             raise ValueError("n, r and q must be positive")
-        if self.edge_types.r != self.r:
-            raise ValueError(f"edge types are partitions of {self.edge_types.r}, expected {self.r}")
+        if edge_types.r != r:
+            raise ValueError(f"edge types are partitions of {edge_types.r}, expected {r}")
+        return super().__new__(cls, n, r, q, edge_types)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "SigmaHypergraph":
+        """Build through the checks, so ``_replace`` keeps them too."""
+        return cls(*fields)
 
     @property
     def vertex_count(self) -> int:

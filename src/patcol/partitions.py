@@ -10,8 +10,7 @@ and friends).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 
@@ -62,18 +61,38 @@ def format_partition(p: Partition) -> str:
     return "[" + ",".join(str(x) for x in p) + "]"
 
 
-@dataclass(frozen=True)
 class PatternSet:
-    """A set of partitions of a fixed r.
+    """A set of partitions of a fixed r; immutable and hashable.
 
     Empty sets are representable (they arise when a pattern is removed from a
     singleton set) but the largest-part and part-count queries reject them.
     Iteration is always in descending lexicographic order, so anything built
-    from an iteration is deterministic.
+    from an iteration is deterministic.  Not a tuple, since iterating yields
+    the members; pickling and copying rebuild it through the constructor.
     """
 
-    r: int
-    members: frozenset[Partition]
+    __slots__ = ("r", "members")
+
+    def __init__(self, r: int, members: frozenset[Partition]) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PatternSet is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.r, self.members)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.r == other.r and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.members))
+
+    def __repr__(self) -> str:
+        return f"PatternSet(r={self.r!r}, members={self.members!r})"
 
     @classmethod
     def of(cls, r: int, parts: Iterable[Iterable[int]]) -> "PatternSet":
@@ -223,8 +242,7 @@ def chain(r: int) -> PatternSet:
     return ex_closure(PatternSet.of(r, [monochromatic(r)]))
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(NamedTuple):
     reduction_closed: bool
     expansion_closed: bool
     simply_closed: bool
@@ -234,12 +252,7 @@ class RobustnessReport:
         return self.reduction_closed or self.expansion_closed or self.simply_closed
 
     def to_json(self) -> dict:
-        return {
-            "reduction_closed": self.reduction_closed,
-            "expansion_closed": self.expansion_closed,
-            "simply_closed": self.simply_closed,
-            "robust": self.robust,
-        }
+        return {**self._asdict(), "robust": self.robust}
 
 
 def classify_robust(q: PatternSet) -> RobustnessReport:

@@ -42,9 +42,8 @@ ordered both ways.  ``enumerate_valid_distributions`` keeps class order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import Deadline, _Ticker, check_targets, recursion_room
 from .colouring import Spectrum, collect_spectrum
@@ -68,8 +67,7 @@ Row = tuple[tuple[int, int], ...]
 _CACHED_DRAWS_MAX = 16
 
 
-@dataclass(frozen=True)
-class DistributionMatrix:
+class DistributionMatrix(NamedTuple):
     """Per-class colour multiplicities, canonical under colour relabelling."""
 
     n: int
@@ -160,8 +158,7 @@ def _sub_multisets(row: Row, a: int) -> Iterator[Row]:
         i, left = j + 1, left + 1
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(NamedTuple):
     """An achievable pattern outside the allowed set, with how to achieve it.
 
     Parts are listed newest class first: the part drawn from the highest
@@ -374,8 +371,7 @@ def realizable_patterns(d: DistributionMatrix, edge_types: PatternSet) -> Patter
     return PatternSet(edge_types.r, frozenset(found))
 
 
-@dataclass(frozen=True)
-class DistValidity:
+class DistValidity(NamedTuple):
     ok: bool
     witness: ForbiddenWitness | None = None
 

@@ -484,12 +484,17 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _ENGINES = {"patcol.analysis", "patcol.clique", "patcol.colouring", "patcol.hypergraph", "patcol.sigma_engine"}
 
 
+def _modules_after(code: str, *flags: str) -> set[str]:
+    """The modules a fresh interpreter, started with ``flags``, has loaded after running ``code``."""
+    script = code + "\nimport sys\nprint(*sys.modules)"
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 def _patcol_modules_after(code: str) -> set[str]:
     """The patcol modules a fresh interpreter has loaded after running ``code``."""
-    script = code + "\nimport sys\nprint(*[m for m in sys.modules if m.startswith('patcol')])"
-    env = dict(os.environ, PYTHONPATH=_SRC)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    return set(proc.stdout.splitlines()[-1].split())
+    return {m for m in _modules_after(code) if m.startswith("patcol")}
 
 
 class TestLazyImports:
@@ -504,6 +509,16 @@ class TestLazyImports:
     def test_pattern_commands_load_no_engine(self, argv):
         loaded = _patcol_modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0")
         assert "patcol.partitions" in loaded and not loaded & _ENGINES
+
+    @pytest.mark.parametrize(
+        "argv", [["tight", "--sigma", "n=6,r=3,q=5", "--Sigma", "[[2,1]]"], ["partitions", "--r", "4"]]
+    )
+    def test_cold_command_loads_no_dataclasses(self, argv):
+        # -S: the interpreter's site hooks can neither hide nor add modules.
+        loaded = _modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0", "-S")
+        assert not loaded & {"dataclasses", "inspect"}
+        if argv[0] == "partitions":  # no --catalog: neither the catalogue nor its digest
+            assert not loaded & {"patcol.catalog", "hashlib"}
 
     def test_package_import_loads_no_submodule(self):
         assert _patcol_modules_after("import patcol") == {"patcol"}

@@ -1,10 +1,12 @@
 import random
 import sys
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patcol import colouring
 from patcol.analysis import ramsey_check
 from patcol.budget import BudgetExceeded, Deadline
 from patcol.colouring import (
@@ -351,6 +353,23 @@ class TestClassicalChromatic:
         s = SigmaHypergraph(3, 3, 3, pset(3, (2, 1)))
         h = build_sigma_explicit(s)
         assert classical_chromatic_number(h) == 3
+
+    def test_one_budget_covers_every_k(self, monkeypatch):
+        # chi(H(7,3,7|{(2,1)})) = 7: k = 1..3 are refuted in milliseconds and
+        # k = 4 alone takes longer than the budget.
+        h = build_sigma_explicit(SigmaHypergraph(7, 3, 7, pset(3, (2, 1))))
+        search, deadlines = colouring.exists_k_colouring, []
+
+        def spy(*args, deadline):
+            deadlines.append(deadline)
+            return search(*args, deadline=deadline)
+
+        monkeypatch.setattr(colouring, "exists_k_colouring", spy)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded):
+            classical_chromatic_number(h, budget_s=0.2)
+        assert time.monotonic() - start < 1.0
+        assert len(deadlines) > 1 and all(d is deadlines[0] for d in deadlines)
 
     def test_desk_instance_two_colour_oracle(self):
         # Independent check that every 2-colouring of the desk instance has a
