@@ -147,7 +147,7 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
     # under the reduced set: one search over every k, stopped at the first.
     every_k = set(range(1, nq + 1))
     minimality = [
-        (p, _not3(probe(sigma_search, s, allowed.without(p), every_k, lambda _: True, budget_s=budget_s)))
+        (p, _not3(probe(sigma_search, s, allowed.without(p), every_k, budget_s=budget_s)[0]))
         for p in allowed
     ]
 
@@ -193,9 +193,7 @@ def recolour_split(c: Colouring, h: Hypergraph, allowed: PatternSet) -> Colourin
         raise ValueError("splitting a colour requires an expansion-closed pattern set")
     if not is_valid(h, c, allowed):
         raise ValueError("input colouring is not valid")
-    usage: dict[int, int] = {}
-    for col in c.colours:
-        usage[col] = usage.get(col, 0) + 1
+    usage = Counter(c.colours)
     v = next((i for i, col in enumerate(c.colours) if usage[col] >= 2), None)
     if v is None:
         raise ValueError("every colour is used once; nothing to split")
@@ -424,12 +422,6 @@ def ramsey_check(
     if monochromatic(uniformity) in allowed:
         raise ValueError("the monochromatic pattern must be excluded for a meaningful check")
     h = build_ramsey(n, r, p)
-    first: list[Colouring] = []
-
-    def settle(w: Colouring) -> bool:
-        first.append(w)
-        return True
-
     targets = set(range(1, min(k, h.vertex_count) + 1))
-    colourable = probe(search_colourings, h, allowed, targets, settle, budget_s=budget_s)
-    return RamseyReport(n, r, p, k, colourable, first[0] if first else None)
+    colourable, witness = probe(search_colourings, h, allowed, targets, budget_s=budget_s)
+    return RamseyReport(n, r, p, k, colourable, witness)

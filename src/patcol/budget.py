@@ -9,7 +9,9 @@ from __future__ import annotations
 import sys
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+W = TypeVar("W")
 
 
 class BudgetExceeded(Exception):
@@ -29,16 +31,17 @@ class Deadline:
             raise BudgetExceeded(f"time budget exhausted (deadline {self.expires_at:.3f})")
 
 
-def probe(search: Callable[..., object], *args, budget_s: float | None) -> bool | None:
-    """Run ``search(*args, deadline=...)`` under its own budget.
+def probe(search: Callable[..., W | None], *args, budget_s: float | None) -> tuple[bool | None, W | None]:
+    """Run ``search(*args, found, deadline=...)`` under its own budget, stopping at the first witness.
 
-    True when it found a witness, False when it proved there is none, None
-    when the budget ran out first.
+    Returns ``(True, witness)`` when it found one, ``(False, None)`` when it
+    proved there is none, and ``(None, None)`` when the budget ran out first.
     """
     try:
-        return search(*args, deadline=Deadline(budget_s)) is not None
+        witness = search(*args, lambda _: True, deadline=Deadline(budget_s))
     except BudgetExceeded:
-        return None
+        return None, None
+    return witness is not None, witness
 
 
 def collect(

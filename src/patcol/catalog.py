@@ -73,8 +73,11 @@ def catalog_append(entry: CatalogEntry, path: str) -> CatalogEntry:
     with open(path, "a", encoding="utf-8") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file is closed
         conflict = entry.conflict
+        # Earlier results come back from JSON, so compare encodings: a tuple
+        # in the new result reads back as a list.
+        result = canonical_json(entry.result)
         for prior in _iter_entries(path):
-            if prior.input_digest == entry.input_digest and prior.result != entry.result:
+            if prior.input_digest == entry.input_digest and canonical_json(prior.result) != result:
                 conflict = True
                 print(
                     f"warning: catalogue digest {entry.input_digest[:12]} already has a different result "

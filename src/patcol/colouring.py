@@ -87,8 +87,7 @@ def is_valid(h: Hypergraph, c: Colouring, allowed: PatternSet) -> ValidityReport
 
     The reported witness is the first violating edge in sorted edge order.
     """
-    if allowed.r != h.r:
-        raise ValueError(f"pattern set is over r={allowed.r}, hypergraph is {h.r}-uniform")
+    check_targets(h, allowed, ())
     if len(c.colours) != h.vertex_count:
         raise ValueError(f"colouring covers {len(c.colours)} vertices, hypergraph has {h.vertex_count}")
     for e in h.sorted_edges():

@@ -57,12 +57,12 @@ def make_hypergraph(r: int, vertex_count: int, edges: Iterable[Iterable[int]]) -
     if vertex_count < 1:
         raise ValueError("vertex_count must be positive")
     canon = set()
-    for e in edges:
+    for i, e in enumerate(edges):
         t = tuple(sorted(e))
         if len(t) != r or len(set(t)) != r:
-            raise ValueError(f"edge {list(e)} is not a set of {r} distinct vertices")
+            raise ValueError(f"edge #{i} {list(e)} is not a set of {r} distinct vertices")
         if t[0] < 0 or t[-1] >= vertex_count:
-            raise ValueError(f"edge {list(e)} has a vertex outside [0, {vertex_count})")
+            raise ValueError(f"edge #{i} {list(e)} has a vertex outside [0, {vertex_count})")
         canon.add(t)
     return Hypergraph(r, vertex_count, frozenset(canon))
 
@@ -137,11 +137,7 @@ def edge_type(s: SigmaHypergraph, edge: Iterable[int]) -> Partition:
     verts = tuple(edge)
     if len(verts) != s.r or len(set(verts)) != s.r:
         raise ValueError(f"edge {list(verts)} is not a set of {s.r} distinct vertices")
-    counts: dict[int, int] = {}
-    for v in verts:
-        c = s.class_of(v)
-        counts[c] = counts.get(c, 0) + 1
-    return as_partition(counts.values())
+    return as_partition(Counter(map(s.class_of, verts)).values())
 
 
 def _sigma_edge_count(s: SigmaHypergraph) -> int:
@@ -212,22 +208,12 @@ def build_grid(
         raise ValueError("row and column pattern sets must be partitions of r")
     if comb(n, r) > edge_cap:
         raise EdgeCapExceeded(f"grid filter would scan {comb(n, r)} subsets, above the cap of {edge_cap}")
-
-    def row_of(v: int) -> int:
-        return (v // cell_size) // cols
-
-    def col_of(v: int) -> int:
-        return (v // cell_size) % cols
-
-    edges = []
-    for subset in combinations(range(n), r):
-        rc: dict[int, int] = {}
-        cc: dict[int, int] = {}
-        for v in subset:
-            rc[row_of(v)] = rc.get(row_of(v), 0) + 1
-            cc[col_of(v)] = cc.get(col_of(v), 0) + 1
-        if as_partition(rc.values()) in row_patterns and as_partition(cc.values()) in col_patterns:
-            edges.append(subset)
+    edges = [
+        subset
+        for subset in combinations(range(n), r)
+        if as_partition(Counter(v // cell_size // cols for v in subset).values()) in row_patterns
+        and as_partition(Counter(v // cell_size % cols for v in subset).values()) in col_patterns
+    ]
     return Hypergraph(r, n, frozenset(edges))
 
 
@@ -264,20 +250,16 @@ def from_json_dict(data: dict, source: str = "<data>") -> Hypergraph:
     r, vertex_count, raw_edges = data["r"], data["vertices"], data["edges"]
     if type(r) is not int or type(vertex_count) is not int or not isinstance(raw_edges, list):
         raise ValueError(f"{source}: fields 'r'/'vertices' must be integers and 'edges' a list")
-    seen: set[tuple[int, ...]] = set()
-    dupes = 0
     for i, e in enumerate(raw_edges):
         if not isinstance(e, list) or not all(type(v) is int for v in e):
             raise ValueError(f"{source}: edge #{i} is not a list of integers")
-        t = tuple(sorted(e))
-        if len(t) != r or len(set(t)) != r:
-            raise ValueError(f"{source}: edge #{i} {e} does not have {r} distinct vertices")
-        if t in seen:
-            dupes += 1
-        seen.add(t)
-    if dupes:
-        warnings.warn(f"{source}: dropped {dupes} duplicate edge(s)", stacklevel=2)
-    return make_hypergraph(r, vertex_count, seen)
+    try:
+        h = make_hypergraph(r, vertex_count, raw_edges)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+    if len(raw_edges) > len(h.edges):
+        warnings.warn(f"{source}: dropped {len(raw_edges) - len(h.edges)} duplicate edge(s)", stacklevel=2)
+    return h
 
 
 def read_hypergraph(path: str) -> Hypergraph:

@@ -67,6 +67,12 @@ class TestCatalog:
         catalog_append(entry(), path)
         assert catalog_append(entry(), path).conflict is False
 
+    def test_same_tuple_result_not_flagged(self, tmp_path):
+        # The earlier record reads back from JSON with a list where this one holds a tuple.
+        path = str(tmp_path / "cat.ndjson")
+        catalog_append(entry(result={"feasible": (2, 4)}), path)
+        assert catalog_append(entry(result={"feasible": (2, 4)}), path).conflict is False
+
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cat.ndjson"
         good = json.dumps(entry().to_json_dict())

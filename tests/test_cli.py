@@ -419,6 +419,12 @@ class TestCliContracts:
             ["spectrum", "--sigma", "n=2,r=x,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
             ["spectrum", "--sigma", "n=2,r=3", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
             ["ramsey", "--n", "6", "--r", "2", "--p", "3", "--k", "0", "--Q", "[[2,1],[1,1,1]]"],
+            ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]", "--k-max", "0"],
+            ["build", "--kind", "grid", "--rows", "1", "--cols", "1", "--cell-size", "0"]
+            + ["--row-patterns", "[[2,1]]", "--col-patterns", "[[2,1]]", "--r", "3"],
+            ["build", "--kind", "grid", "--rows", "1", "--cols", "1", "--cell-size", "2"]
+            + ["--row-patterns", "[[4]]", "--col-patterns", "[[4]]", "--r", "4"],
+            ["spectrum", "--Q", "[[2,1]]"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, argv):
@@ -429,6 +435,22 @@ class TestCliContracts:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text,detail",
+        [
+            pytest.param("[1, 2]", "top level", id="top-level-list"),
+            pytest.param('{"r": 0, "vertices": 4, "edges": []}', "r must be positive", id="r-zero"),
+            pytest.param('{"r": 3, "vertices": 4, "edges": [[0, 1, 2], [1, 2, 9]]}', "edge #1", id="vertex-out-of-range"),
+        ],
+    )
+    def test_malformed_file_error_names_the_file(self, capsys, tmp_path, text, detail):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["spectrum", "--file", str(path), "--Q", "[[2,1]]"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and detail in err and err.count("\n") == 1
 
 
 # The README's quick-start commands (all but verify, whose payload
@@ -508,7 +530,7 @@ class TestLazyImports:
     )
     def test_pattern_commands_load_no_engine(self, argv):
         loaded = _patcol_modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0")
-        assert "patcol.partitions" in loaded and not loaded & _ENGINES
+        assert "patcol.partitions" in loaded and not loaded & (_ENGINES | {"patcol.budget", "patcol.catalog"})
 
     @pytest.mark.parametrize(
         "argv", [["tight", "--sigma", "n=6,r=3,q=5", "--Sigma", "[[2,1]]"], ["partitions", "--r", "4"]]

@@ -52,6 +52,10 @@ class TestColouringType:
         with pytest.raises(ValueError):
             Colouring.of((0, 1, 1), 3)
 
+    def test_empty_colouring_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Colouring.of(())
+
     def test_pat_examples(self):
         c = Colouring.of((0, 0, 0, 1), 2)
         assert pat((0, 1, 2, 3), c) == (3, 1)
@@ -90,6 +94,13 @@ class TestValidity:
     def test_uniformity_mismatch(self):
         with pytest.raises(ValueError):
             is_valid(build_complete(4, 3), Colouring.of((0,) * 4, 1), Q31)
+
+    def test_vertex_count_mismatch(self):
+        h, c = build_complete(4, 3), Colouring.of((0, 0, 1), 2)
+        with pytest.raises(ValueError, match="covers 3 vertices"):
+            is_valid(h, c, pset(3, (2, 1)))
+        with pytest.raises(ValueError, match="covers 3 vertices"):
+            is_valid_L(h, c, {e: pset(3, (2, 1)) for e in h.edges})
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -348,6 +359,10 @@ class TestClassicalChromatic:
 
     def test_edgeless_convention(self):
         assert classical_chromatic_number(make_hypergraph(3, 5, [])) == 1
+
+    def test_one_uniform_with_edges_rejected(self):
+        with pytest.raises(ValueError, match="1-uniform"):
+            classical_chromatic_number(make_hypergraph(1, 2, [(0,)]))
 
     def test_desk_instance_needs_three(self):
         s = SigmaHypergraph(3, 3, 3, pset(3, (2, 1)))

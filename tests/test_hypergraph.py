@@ -100,6 +100,12 @@ class TestEdgeType:
         with pytest.raises(ValueError):
             edge_type(s, (0, 1))
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_class_of_out_of_range_rejected(self, v):
+        s = SigmaHypergraph(2, 3, 2, pset(3, (2, 1)))
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            s.class_of(v)
+
 
 class TestGrid:
     def test_paper_instance_shape(self):

@@ -37,6 +37,12 @@ class TestDistributionMatrix:
         with pytest.raises(ValueError):
             DistributionMatrix.from_rows(2, 3, [{0: 2}, {0: 3}])
 
+    def test_row_count_and_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="class rows"):
+            DistributionMatrix.from_rows(2, 3, [{0: 3}])
+        with pytest.raises(ValueError, match="non-negative"):
+            DistributionMatrix.from_rows(1, 2, [{0: 3, 1: -1}])
+
     def test_canonical_under_colour_permutation(self):
         rows = [{0: 2, 1: 1}, {1: 2, 2: 1}]
         base = DistributionMatrix.from_rows(2, 3, rows)
