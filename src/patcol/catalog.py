@@ -52,15 +52,15 @@ class CatalogEntry(NamedTuple):
 def _iter_entries(path: str):
     if not os.path.exists(path):
         return
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # bytes, so a line that is not UTF-8 is one more corrupt line
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                data = json.loads(line)
+                data = json.loads(line.decode("utf-8"))
                 yield CatalogEntry.from_json_dict(data)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, RecursionError, KeyError, TypeError) as exc:  # ValueError: JSON or UTF-8
                 print(f"warning: {path}:{lineno}: skipping corrupt catalogue line ({exc})", file=sys.stderr)
 
 

@@ -10,6 +10,9 @@ references; class-structured hypergraphs are given by parameters
 (``--sigma "n=3,r=4,q=3"``) and are only materialised under ``--explicit``.
 Configuration precedence: flags override environment variables (PATCOL_*),
 which override the optional JSON config file, which overrides defaults.
+Each input is read, decoded and checked once, before the command runs; JSON
+that cannot be decoded (malformed, not UTF-8, nested too deep) is an error
+naming its flag or file.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .partitions import (
     classify_robust,
     enumerate_partitions,
     ex_closure,
+    load_json,
     rd_closure,
 )
 
@@ -45,82 +49,54 @@ EXIT_UNKNOWN = 3
 ENV_PREFIX = "PATCOL_"
 
 
-class Config:
-    """The settings of one run; _load_config sets them on an instance."""
-
-    budget_s: float | None = None
-    edge_cap: int = 10**7
-    catalog_path: str | None = None
-
-
 # Each config key with the check its value must pass (bools never pass),
 # whether it comes from the config file, the environment or a flag; null
-# keeps the "none" default of budget_s and catalog_path.  Then the
-# environment variable that sets the key, how its text is read, and the flag
-# (argparse destination) that sets it.
+# keeps the "none" default of budget_s and catalog_path.  Then the suffix of
+# the environment variable that sets the key (its flag is "--" and the suffix
+# in lower case, "_" written "-"; argparse stores the flag under the key), how
+# the variable's text is read, and the default.
 _CONFIG_KEYS = {
     "budget_s": (
         lambda v: v is None or isinstance(v, (int, float)) and 0 <= v <= sys.float_info.max,
         "a finite number >= 0 or null",
         "BUDGET",
         float,
-        "budget",
+        None,
     ),
-    "edge_cap": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1", "EDGE_CAP", int, "edge_cap"),
-    "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null", "CATALOG", str, "catalog"),
+    "edge_cap": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1", "EDGE_CAP", int, 10**7),
+    "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null", "CATALOG", str, None),
 }
 
 
-def _load_config(args: argparse.Namespace) -> Config:
-    cfg = Config()
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
-    def put(key: str, value, source: str) -> None:
-        ok, expected = _CONFIG_KEYS[key][:2]
-        if isinstance(value, bool) or not ok(value):
-            raise ValueError(f"{source} must be {expected}, got {json.dumps(value)}")
-        setattr(cfg, key, value)
 
+def _load_config(args: argparse.Namespace) -> None:
+    """Set each config key on ``args``: flag over environment over config file over default."""
     path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        for key in _CONFIG_KEYS:
-            if key in data:
-                put(key, data[key], f"{path}: config key {key!r}")
-    for key, (_, _, env, read, flag) in _CONFIG_KEYS.items():
+    data = load_json(_read(path), path) if path else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    for key, (ok, expected, env, read, default) in _CONFIG_KEYS.items():
+        given = [(data[key], f"{path}: config key {key!r}")] if key in data else []
         if ENV_PREFIX + env in os.environ:
             text = os.environ[ENV_PREFIX + env]
             try:
-                value = read(text)
+                given.append((read(text), ENV_PREFIX + env))
             except ValueError:
-                value = text
-            put(key, value, ENV_PREFIX + env)
-        if getattr(args, flag) is not None:
-            put(key, getattr(args, flag), "--" + flag.replace("_", "-"))
-    return cfg
+                given.append((text, ENV_PREFIX + env))
+        if getattr(args, key) is not None:
+            given.append((getattr(args, key), "--" + env.lower().replace("_", "-")))
+        for value, source in given:
+            if isinstance(value, bool) or not ok(value):
+                raise ValueError(f"{source} must be {expected}, got {json.dumps(value)}")
+        setattr(args, key, given[-1][0] if given else default)
 
 
-def _json_or_file(text: str):
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot parse JSON argument {text!r}: {exc}") from exc
-
-
-def _json_list(text: str) -> list:
-    data = _json_or_file(text)
-    if not isinstance(data, list):
-        raise ValueError(f"expected a JSON array of partitions, got {text!r}")
-    return data
-
-
-def _pattern_set(text: str, r: int) -> PatternSet:
-    return PatternSet.of(r, _json_list(text))
+# The pattern-set flags (argparse destinations).
+_PATTERN_FLAGS = ("Q", "Sigma", "rd", "ex", "row_patterns", "col_patterns")
 
 
 def _sigma_params(text: str) -> tuple[int, int, int]:
@@ -128,7 +104,7 @@ def _sigma_params(text: str) -> tuple[int, int, int]:
     for item in text.split(","):
         key, _, raw = item.partition("=")
         key = key.strip()
-        if key not in ("n", "r", "q") or not raw.strip().isdigit():
+        if key not in ("n", "r", "q") or not raw.strip().isdecimal():
             raise ValueError(f"bad structure parameters {text!r}; expected n=..,r=..,q=..")
         if key in vals:
             raise ValueError(f"structure parameters {text!r} repeat {key}")
@@ -139,6 +115,22 @@ def _sigma_params(text: str) -> tuple[int, int, int]:
     return vals["n"], vals["r"], vals["q"]
 
 
+def _read_inputs(args: argparse.Namespace) -> None:
+    """Read, decode and check each input flag once; the handlers and the digest read the result."""
+    for key in _PATTERN_FLAGS:
+        text = getattr(args, key, None)
+        if text is not None:  # inline JSON or an @file
+            raw, source = (_read(text[1:]), text[1:]) if text.startswith("@") else (text, "--" + key.replace("_", "-"))
+            data = load_json(raw, source)
+            if not isinstance(data, list):
+                raise ValueError(f"expected a JSON array of partitions, got {text!r}")
+            setattr(args, key, [as_partition(p) for p in data])
+    if getattr(args, "sigma", None) is not None:
+        args.sigma = _sigma_params(args.sigma)
+    if getattr(args, "file", None) is not None:
+        args.file = (_read(args.file), args.file)  # the arguments of hypergraph.parse_hypergraph
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -147,28 +139,28 @@ def _sigma_arg(args) -> SigmaHypergraph:
     """The class-structured hypergraph given by --sigma and --Sigma."""
     from .hypergraph import SigmaHypergraph
 
-    if not args.sigma or not args.Sigma:
+    if args.sigma is None or args.Sigma is None:
         raise ValueError("give --sigma n=..,r=..,q=.. with --Sigma")
-    n, r, q = _sigma_params(args.sigma)
-    return SigmaHypergraph(n, r, q, _pattern_set(args.Sigma, r))
+    n, r, q = args.sigma
+    return SigmaHypergraph(n, r, q, PatternSet.of(r, args.Sigma))
 
 
-def _cmd_partitions(args, cfg) -> tuple[dict, bool]:
+def _cmd_partitions(args) -> tuple[dict, bool]:
     ps = enumerate_partitions(args.r)
     return {"r": args.r, "count": len(ps), "partitions": ps.to_json()}, False
 
 
-def _cmd_closure(args, cfg) -> tuple[dict, bool]:
+def _cmd_closure(args) -> tuple[dict, bool]:
     if (args.rd is None) == (args.ex is None):
         raise ValueError("give exactly one of --rd or --ex")
     which = "rd" if args.rd is not None else "ex"
-    seed = _pattern_set(args.rd if which == "rd" else args.ex, args.r)
+    seed = PatternSet.of(args.r, args.rd if which == "rd" else args.ex)
     closed = rd_closure(seed) if which == "rd" else ex_closure(seed)
     return {"r": args.r, "closure": which, "input": seed.to_json(), "result": closed.to_json()}, False
 
 
-def _cmd_classify(args, cfg) -> tuple[dict, bool]:
-    q = _pattern_set(args.Q, args.r)
+def _cmd_classify(args) -> tuple[dict, bool]:
+    q = PatternSet.of(args.r, args.Q)
     report = classify_robust(q)
     return {"r": args.r, "Q": q.to_json(), **report.to_json()}, False
 
@@ -183,7 +175,7 @@ _BUILD_NEEDS = {
 }
 
 
-def _cmd_build(args, cfg) -> tuple[dict, bool]:
+def _cmd_build(args) -> tuple[dict, bool]:
     missing = [f"--{name.replace('_', '-')}" for name in _BUILD_NEEDS[args.kind] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"build --kind {args.kind} needs {', '.join(missing)}")
@@ -198,13 +190,13 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
     from .hypergraph import build_complete, build_grid, build_ramsey, build_sigma_explicit, write_hypergraph
 
     if args.kind == "complete":
-        h = build_complete(args.n, args.r, edge_cap=cfg.edge_cap)
+        h = build_complete(args.n, args.r, edge_cap=args.edge_cap)
     elif args.kind == "ramsey":
-        h = build_ramsey(args.n, args.r, args.p, edge_cap=cfg.edge_cap)
+        h = build_ramsey(args.n, args.r, args.p, edge_cap=args.edge_cap)
     elif args.kind == "grid":
-        rp = _pattern_set(args.row_patterns, args.r)
-        cp = _pattern_set(args.col_patterns, args.r)
-        h = build_grid(args.rows, args.cols, args.cell_size, rp, cp, args.r, edge_cap=cfg.edge_cap)
+        rp = PatternSet.of(args.r, args.row_patterns)
+        cp = PatternSet.of(args.r, args.col_patterns)
+        h = build_grid(args.rows, args.cols, args.cell_size, rp, cp, args.r, edge_cap=args.edge_cap)
     else:  # sigma
         s = _sigma_arg(args)
         if not args.explicit:
@@ -214,60 +206,58 @@ def _cmd_build(args, cfg) -> tuple[dict, bool]:
                 "vertices": s.vertex_count,
                 "unrealizable_types": s.unrealizable_types().to_json(),
             }, False
-        h = build_sigma_explicit(s, edge_cap=cfg.edge_cap)
+        h = build_sigma_explicit(s, edge_cap=args.edge_cap)
     if args.out:
         write_hypergraph(h, args.out)
         return {"written": args.out, "r": h.r, "vertices": h.vertex_count, "edges": len(h.edges)}, False
     return h.to_json_dict(), False
 
 
-def _cmd_spectrum(args, cfg) -> tuple[dict, bool]:
+def _cmd_spectrum(args) -> tuple[dict, bool]:
     if args.file or args.explicit:
         from .colouring import spectrum
-        from .hypergraph import build_sigma_explicit, read_hypergraph
+        from .hypergraph import build_sigma_explicit, parse_hypergraph
 
-        h = read_hypergraph(args.file) if args.file else build_sigma_explicit(_sigma_arg(args), edge_cap=cfg.edge_cap)
-        q = _pattern_set(args.Q, h.r)
-        spec = spectrum(h, q, k_max=args.k_max, budget_s=cfg.budget_s)
+        h = parse_hypergraph(*args.file) if args.file else build_sigma_explicit(_sigma_arg(args), edge_cap=args.edge_cap)
+        q = PatternSet.of(h.r, args.Q)
+        spec = spectrum(h, q, k_max=args.k_max, budget_s=args.budget_s)
     else:
         if not args.sigma:
             raise ValueError("give --file, or --sigma with --Sigma")
         from .sigma_engine import sigma_spectrum
 
         s = _sigma_arg(args)
-        q = _pattern_set(args.Q, s.r)
-        spec = sigma_spectrum(s, q, k_max=args.k_max, budget_s=cfg.budget_s)
+        q = PatternSet.of(s.r, args.Q)
+        spec = sigma_spectrum(s, q, k_max=args.k_max, budget_s=args.budget_s)
     return spec.to_json_dict(), bool(spec.unknown)
 
 
-def _cmd_clique(args, cfg) -> tuple[dict, bool]:
+def _cmd_clique(args) -> tuple[dict, bool]:
     from .clique import brute_force_clique, omega_sigma
-    from .hypergraph import read_hypergraph
+    from .hypergraph import parse_hypergraph
 
     if args.file:
-        h = read_hypergraph(args.file)
+        h = parse_hypergraph(*args.file)
         omega = brute_force_clique(h, vertex_cap=args.vertex_cap)
         return {"method": "brute-force", "omega": omega}, False
     result = omega_sigma(_sigma_arg(args))
     return {"method": "k-full", **result.to_json_dict()}, False
 
 
-def _cmd_tight(args, cfg) -> tuple[dict, bool]:
+def _cmd_tight(args) -> tuple[dict, bool]:
     from .analysis import check_tight
 
     s = _sigma_arg(args)
-    q = _pattern_set(args.Q, s.r) if args.Q else s.edge_types
-    report = check_tight(s, q, budget_s=cfg.budget_s)
+    q = s.edge_types if args.Q is None else PatternSet.of(s.r, args.Q)
+    report = check_tight(s, q, budget_s=args.budget_s)
     return report.to_json_dict(), report.verdict is None
 
 
-def _cmd_gaps(args, cfg) -> tuple[dict, bool]:
+def _cmd_gaps(args) -> tuple[dict, bool]:
     from .analysis import gap_witness_search
 
-    q = _pattern_set(args.Q, args.r)
-    sigma_sets = None
-    if args.Sigma:
-        sigma_sets = [PatternSet.of(args.r, [p]) for p in _json_list(args.Sigma)]
+    q = PatternSet.of(args.r, args.Q)
+    sigma_sets = None if args.Sigma is None else [PatternSet.of(args.r, [p]) for p in args.Sigma]
     report = gap_witness_search(
         args.r,
         q,
@@ -275,27 +265,27 @@ def _cmd_gaps(args, cfg) -> tuple[dict, bool]:
         range(args.q_min, args.q_max + 1),
         sigma_sets=sigma_sets,
         k_max=args.k_max,
-        budget_s=cfg.budget_s,
+        budget_s=args.budget_s,
     )
     return report.to_json_dict(), bool(report.unresolved)
 
 
-def _cmd_ramsey(args, cfg) -> tuple[dict, bool]:
+def _cmd_ramsey(args) -> tuple[dict, bool]:
     from math import comb
 
     from .analysis import ramsey_check
 
-    q = _pattern_set(args.Q, comb(args.p, args.r))
-    report = ramsey_check(args.n, args.r, args.p, args.k, q, budget_s=cfg.budget_s)
+    q = PatternSet.of(comb(args.p, args.r), args.Q)
+    report = ramsey_check(args.n, args.r, args.p, args.k, q, budget_s=args.budget_s)
     return report.to_json_dict(), report.colourable is None
 
 
-def _cmd_verify(args, cfg) -> tuple[dict, bool]:
+def _cmd_verify(args) -> tuple[dict, bool]:
     from .analysis import LEMMA_BUDGET_S, verify_lemma_constructions
 
-    if cfg.budget_s is None:  # the digest records the budget the suite ran under
-        cfg.budget_s = LEMMA_BUDGET_S
-    payload = verify_lemma_constructions(args.r, budget_s=cfg.budget_s)
+    if args.budget_s is None:  # the digest records the budget the suite ran under
+        args.budget_s = LEMMA_BUDGET_S
+    payload = verify_lemma_constructions(args.r, budget_s=args.budget_s)
     return payload, any(rep["verdict"] == "unknown" for rep in payload["reports"])
 
 
@@ -309,9 +299,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--budget", type=float, help="time budget per search, seconds")
+    common.add_argument("--budget", type=float, dest="budget_s", help="time budget per search, seconds")
     common.add_argument("--edge-cap", type=int, dest="edge_cap", help="explicit edge cap")
-    common.add_argument("--catalog", help="append results to this catalogue file")
+    common.add_argument("--catalog", dest="catalog_path", help="append results to this catalogue file")
 
     parser = _Parser(prog="patcol", description=__doc__)
     parser.add_argument("--version", action="version", version=f"patcol {__version__}")
@@ -404,58 +394,55 @@ def build_parser() -> argparse.ArgumentParser:
 _SEARCH_COMMANDS = ("spectrum", "tight", "gaps", "ramsey", "verify")
 
 
-def _canonical_inputs(args, cfg: Config) -> dict:
+def _canonical_inputs(args) -> dict:
     """The inputs of a run in canonical form, so the digest names the computation, not its spelling.
 
     Pattern flags become sorted pattern sets (the type list of ``gaps
-    --Sigma`` keeps its order, which orders the report), ``--sigma`` becomes
-    (n, r, q), ``--file`` and ``@file`` inputs count by content, the
+    --Sigma`` keeps its order, which orders the report), ``--sigma`` counts
+    as (n, r, q), ``--file`` and ``@file`` inputs count by content, the
     effective budget counts only for the commands that search, and the edge
     cap (a run above it fails before it is catalogued) and the config and
     catalogue paths are left out.
     """
-    skip = ("handler", "config", "catalog", "budget", "edge_cap")
+    skip = ("handler", "config", "catalog_path", "budget_s", "edge_cap")
     inputs = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    for key in ("Q", "Sigma", "rd", "ex", "row_patterns", "col_patterns"):
-        if key in inputs:
-            patterns = [as_partition(p) for p in _json_list(inputs[key])]
-            inputs[key] = patterns if (args.command, key) == ("gaps", "Sigma") else sorted(set(patterns))
-    if "sigma" in inputs:
-        inputs["sigma"] = _sigma_params(inputs["sigma"])
+    for key in _PATTERN_FLAGS:
+        if key in inputs and (args.command, key) != ("gaps", "Sigma"):
+            inputs[key] = sorted(set(inputs[key]))
     if "file" in inputs:
         import hashlib
 
-        with open(inputs["file"], "rb") as fh:
-            inputs["file"] = hashlib.sha256(fh.read()).hexdigest()
+        inputs["file"] = hashlib.sha256(inputs["file"][0]).hexdigest()
     if args.command in _SEARCH_COMMANDS:
-        inputs["budget_s"] = cfg.budget_s
+        inputs["budget_s"] = args.budget_s
     return inputs
 
 
-def _catalogue(args, cfg: Config, payload: dict, wall_time_s: float) -> None:
-    if not cfg.catalog_path:
+def _catalogue(args, payload: dict, wall_time_s: float) -> None:
+    if not args.catalog_path:
         return
     from .catalog import CatalogEntry, catalog_append, digest_inputs
 
     entry = CatalogEntry(
-        input_digest=digest_inputs(_canonical_inputs(args, cfg)),
+        input_digest=digest_inputs(_canonical_inputs(args)),
         result=payload,
         engine_version=__version__,
         wall_time_s=round(wall_time_s, 6),
         command=args.command,
     )
-    catalog_append(entry, cfg.catalog_path)
+    catalog_append(entry, args.catalog_path)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
+        _load_config(args)
         start = time.perf_counter()
-        payload, has_unknown = args.handler(args, cfg)
+        _read_inputs(args)
+        payload, has_unknown = args.handler(args)
         _emit(payload)
-        _catalogue(args, cfg, payload, time.perf_counter() - start)
+        _catalogue(args, payload, time.perf_counter() - start)
     except (ValueError, OSError) as exc:  # the cap exceptions are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

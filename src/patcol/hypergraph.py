@@ -18,7 +18,7 @@ from itertools import chain, combinations, product
 from math import comb, factorial, perm, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, PatternSet, as_partition
+from .partitions import Partition, PatternSet, as_partition, load_json
 
 DEFAULT_EDGE_CAP = 10**7
 
@@ -243,7 +243,11 @@ def write_hypergraph(h: Hypergraph, path: str) -> None:
         fh.write("\n")
 
 
-def from_json_dict(data: dict, source: str = "<data>") -> Hypergraph:
+def parse_hypergraph(raw: str | bytes, source: str) -> Hypergraph:
+    """The hypergraph in a JSON document; every error names ``source``, the file it came from."""
+    data = load_json(raw, source)
+    if not isinstance(data, dict):
+        raise ValueError(f"{source}: expected a JSON object at top level")
     for field in ("r", "vertices", "edges"):
         if field not in data:
             raise ValueError(f"{source}: missing field {field!r}")
@@ -263,11 +267,5 @@ def from_json_dict(data: dict, source: str = "<data>") -> Hypergraph:
 
 
 def read_hypergraph(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
-    return from_json_dict(data, source=path)
+    with open(path, "rb") as fh:
+        return parse_hypergraph(fh.read(), path)

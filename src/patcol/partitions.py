@@ -45,12 +45,17 @@ def rainbow(r: int) -> Partition:
     return (1,) * r
 
 
+def load_json(raw: str | bytes, source: str):
+    """Decode JSON text, or UTF-8 bytes; any failure is one ValueError that names ``source``."""
+    try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors; nesting too deep is a RecursionError
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the bracketed text form, e.g. "[3,1,1,1]"."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot parse partition {text!r}: {exc}") from exc
+    data = load_json(text, f"partition {text!r}")
     if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
         raise ValueError(f"partition text must be a JSON array of integers, got {text!r}")
     return as_partition(data)

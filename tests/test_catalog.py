@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from patcol.catalog import CatalogEntry, catalog_append, catalog_query, digest_inputs
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -81,6 +83,18 @@ class TestCatalog:
         err = capsys.readouterr().err
         assert got is not None and got.result == 1
         assert err.count("skipping corrupt") == 2
+
+    @pytest.mark.parametrize(
+        "bad", [b'{"input_digest": "\xff"}', b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deep-nesting"]
+    )
+    def test_undecodable_line_skipped_with_warning(self, tmp_path, capsys, bad):
+        path = tmp_path / "cat.ndjson"
+        catalog_append(entry(), str(path))
+        with open(path, "ab") as fh:
+            fh.write(bad + b"\n")
+        assert catalog_append(entry(digest="def"), str(path)).conflict is False
+        assert f"warning: {path}:2: skipping corrupt catalogue line" in capsys.readouterr().err
+        assert catalog_query("def", str(path)) is not None and len(path.read_bytes().splitlines()) == 3
 
     def test_concurrent_appends_are_serialised(self, tmp_path):
         path = tmp_path / "cat.ndjson"

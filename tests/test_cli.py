@@ -20,6 +20,11 @@ def run(capsys, *argv) -> tuple[int, dict]:
     return code, (json.loads(out) if out.strip() else {})
 
 
+# Inputs that no JSON decoder reads: nested deeper than the recursion limit, and not UTF-8.
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_NOT_UTF8 = b"[[2,\xff1]]"
+
+
 class TestPartitionsCommand:
     def test_enumerate(self, capsys):
         code, data = run(capsys, "partitions", "--r", "4")
@@ -425,6 +430,7 @@ class TestCliContracts:
             ["build", "--kind", "grid", "--rows", "1", "--cols", "1", "--cell-size", "2"]
             + ["--row-patterns", "[[4]]", "--col-patterns", "[[4]]", "--r", "4"],
             ["spectrum", "--Q", "[[2,1]]"],
+            ["spectrum", "--sigma", "n=²,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, argv):
@@ -451,6 +457,56 @@ class TestCliContracts:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: ") and detail in err and err.count("\n") == 1
+
+    def test_sigma_values_must_be_decimal_digits(self, capsys):
+        # "²" is a digit to str.isdigit but not to int().
+        code = main(["spectrum", "--sigma", "n=²,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"])
+        assert code == 2 and capsys.readouterr().err == (
+            "error: bad structure parameters 'n=²,r=3,q=2'; expected n=..,r=..,q=..\n"
+        )
+
+    @pytest.mark.parametrize(
+        "content,argv,source",
+        [
+            pytest.param(b"", ["classify", "--r", "3", "--Q", "[" * 3000 + "]" * 3000], "--Q", id="inline-deep"),
+            pytest.param(_DEEP, ["classify", "--r", "3", "--Q", "@{path}"], None, id="at-file-deep"),
+            pytest.param(_DEEP, ["spectrum", "--file", "{path}", "--Q", "[[2,1]]"], None, id="file-deep"),
+            pytest.param(_DEEP, ["partitions", "--r", "2", "--config", "{path}"], None, id="config-deep"),
+            pytest.param(_NOT_UTF8, ["classify", "--r", "3", "--Q", "@{path}"], None, id="at-file-not-utf8"),
+            pytest.param(_NOT_UTF8, ["spectrum", "--file", "{path}", "--Q", "[[2,1]]"], None, id="file-not-utf8"),
+            pytest.param(b"{budget_s: 1}", ["partitions", "--r", "2", "--config", "{path}"], None, id="config-malformed"),
+        ],
+    )
+    def test_undecodable_json_exits_2_naming_its_source(self, capsys, tmp_path, content, argv, source):
+        """Each JSON input fails in one line that names its flag or file, however it fails to decode."""
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code = main([arg.replace("{path}", str(path)) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {source or path}: ") and err.count("\n") == 1
+
+    def test_catalog_path_through_every_layer(self, capsys, tmp_path, monkeypatch):
+        """Default, then PATCOL_CONFIG, --config over it, PATCOL_CATALOG over both, --catalog over all."""
+        monkeypatch.chdir(tmp_path)
+        for name in ("PATCOL_CONFIG", "PATCOL_CATALOG"):
+            monkeypatch.delenv(name, raising=False)
+        for name in ("env-config", "flag-config"):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"catalog_path": f"{name}.ndjson"}))
+        argv = ["partitions", "--r", "2"]
+        steps = [
+            ("default", None),
+            ("env-config", lambda: monkeypatch.setenv("PATCOL_CONFIG", "env-config.json")),
+            ("flag-config", lambda: argv.extend(["--config", "flag-config.json"])),
+            ("env", lambda: monkeypatch.setenv("PATCOL_CATALOG", "env.ndjson")),
+            ("flag", lambda: argv.extend(["--catalog", "flag.ndjson"])),
+        ]
+        for i, (receiver, add_layer) in enumerate(steps):
+            if add_layer:
+                add_layer()
+            assert run(capsys, *argv)[0] == 0
+            written = {p.stem: len(p.read_text().splitlines()) for p in tmp_path.glob("*.ndjson")}
+            assert written == {name: 1 for name, _ in steps[1 : i + 1]}, receiver
 
 
 # The README's quick-start commands (all but verify, whose payload
