@@ -5,7 +5,9 @@ Library layout:
 - partitions: colour-pattern algebra (enumeration, closures, robustness,
   named families)
 - hypergraph: explicit hypergraphs, constructors and file I/O
-- colouring: vertex colourings, exact search, spectra
+- budget: budgets, target checks, and settling colour counts into spectra
+  and gap calls (shared by both engines)
+- colouring: vertex colourings, the explicit exact search and its spectra
 - sigma_engine: distribution-level engine for class-structured hypergraphs
 - clique: clique numbers via capacity vectors, plus the brute-force oracle
 - analysis: tight colourability, recolouring transformers, gap searches
@@ -21,7 +23,7 @@ __version__ = "0.4.0"
 # Each lazily re-exported name with the submodule that defines it.
 _EXPORTS = {
     "Colouring": "colouring",
-    "Spectrum": "colouring",
+    "Spectrum": "budget",
     "Hypergraph": "hypergraph",
     "SigmaHypergraph": "hypergraph",
     "Partition": "partitions",

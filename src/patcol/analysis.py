@@ -19,8 +19,8 @@ from itertools import combinations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .budget import BudgetExceeded, Deadline, collect, probe
-from .colouring import Colouring, Spectrum, gap_verdict, is_valid, search_colourings
+from .budget import BudgetExceeded, Deadline, Spectrum, collect, gap_verdict, probe
+from .colouring import Colouring, is_valid, search_colourings
 from .hypergraph import Hypergraph, SigmaHypergraph, build_complete, build_ramsey
 from .partitions import (
     Partition,

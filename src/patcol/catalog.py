@@ -16,6 +16,8 @@ import os
 import sys
 from typing import NamedTuple
 
+from .partitions import load_json
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -39,14 +41,8 @@ class CatalogEntry(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CatalogEntry":
-        return cls(
-            input_digest=data["input_digest"],
-            result=data["result"],
-            engine_version=data["engine_version"],
-            wall_time_s=data["wall_time_s"],
-            command=data.get("command", ""),
-            conflict=data.get("conflict", False),
-        )
+        """The record from its fields in ``data``; a missing field with no default is a TypeError."""
+        return cls(**{name: data[name] for name in cls._fields if name in data})
 
 
 def _iter_entries(path: str):
@@ -57,10 +53,9 @@ def _iter_entries(path: str):
             line = line.strip()
             if not line:
                 continue
-            try:
-                data = json.loads(line.decode("utf-8"))
-                yield CatalogEntry.from_json_dict(data)
-            except (ValueError, RecursionError, KeyError, TypeError) as exc:  # ValueError: JSON or UTF-8
+            try:  # TypeError: not an object, or a field missing
+                yield CatalogEntry.from_json_dict(load_json(line, "undecodable JSON"))
+            except (ValueError, TypeError) as exc:
                 print(f"warning: {path}:{lineno}: skipping corrupt catalogue line ({exc})", file=sys.stderr)
 
 

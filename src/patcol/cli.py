@@ -91,7 +91,8 @@ def _load_config(args: argparse.Namespace) -> None:
             given.append((getattr(args, key), "--" + env.lower().replace("_", "-")))
         for value, source in given:
             if isinstance(value, bool) or not ok(value):
-                raise ValueError(f"{source} must be {expected}, got {json.dumps(value)}")
+                shown = json.dumps(value)  # an excerpt: a rejected value can be any JSON, however long
+                raise ValueError(f"{source} must be {expected}, got {shown if len(shown) <= 40 else shown[:39] + '…'}")
         setattr(args, key, given[-1][0] if given else default)
 
 

@@ -45,8 +45,7 @@ from __future__ import annotations
 from math import comb
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .budget import Deadline, _Ticker, check_targets, recursion_room
-from .colouring import Spectrum, collect_spectrum
+from .budget import Deadline, Spectrum, _Ticker, check_targets, collect_spectrum, recursion_room
 from .hypergraph import SigmaHypergraph
 from .partitions import Partition, PatternSet, bounded_partitions, dominates, iter_partitions
 
@@ -459,7 +458,7 @@ def sigma_spectrum(
 ) -> Spectrum:
     """Feasible colour counts via the distribution engine, in one search.
 
-    See ``colouring.collect_spectrum`` for the budget.
+    See ``budget.collect_spectrum`` for the budget.
     """
     return collect_spectrum(sigma_search, s, allowed, k_max, budget_s)
 

@@ -62,6 +62,9 @@ class TestCheckTight:
             canonical_tight_instance(pset(3, (3,)))
         with pytest.raises(ValueError):
             canonical_tight_instance(pset(2, (1, 1)))
+        # At r=2 only the empty set excludes both (2) and (1,1).
+        with pytest.raises(ValueError, match="below r=3"):
+            canonical_tight_instance(PatternSet.of(2, []))
 
     def test_broken_spectrum_fails_condition_one(self):
         report = check_tight(SigmaHypergraph(4, 4, 3, pset(4, (1, 1, 1, 1))), pset(4, (3, 1)))
@@ -166,6 +169,25 @@ class TestRecolouring:
         with pytest.raises(ValueError, match="reduction-closed"):
             recolour_merge_top(c, h, pset(3, (2, 1)))
 
+    @pytest.mark.parametrize(
+        "recolour,allowed",
+        [(recolour_merge_top, pset(3, (3,))), (recolour_split, pset(3, (2, 1), (1, 1, 1)))],
+        ids=["merge", "split"],
+    )
+    def test_invalid_input_colouring_rejected(self, recolour, allowed):
+        # Closed under the move, but the colouring has a (3) and a (2,1) edge.
+        h = build_complete(4, 3)
+        c = Colouring.of((0, 0, 0, 1), 2)
+        assert not is_valid(h, c, allowed)
+        with pytest.raises(ValueError, match="input colouring is not valid"):
+            recolour(c, h, allowed)
+
+    def test_split_requires_expansion_closure(self):
+        h = build_complete(4, 3)
+        c = exists_k_colouring(h, 2, pset(3, (2, 1)))
+        with pytest.raises(ValueError, match="expansion-closed"):
+            recolour_split(c, h, pset(3, (2, 1)))
+
     def test_merge_requires_two_colours(self):
         p3 = enumerate_partitions(3)
         h = build_complete(4, 3)
@@ -232,6 +254,11 @@ class TestRecolouring:
         h = build_complete(6, 3)
         for k in range(1, 7):
             assert is_valid(h, simply_closed_colouring(h, k), q).ok
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_simply_closed_colouring_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match=rf"need 1 <= k <= 5, got k={k}"):
+            simply_closed_colouring(build_complete(5, 3), k)
 
 
 class TestSmallestQualifying:

@@ -96,6 +96,17 @@ class TestCatalog:
         assert f"warning: {path}:2: skipping corrupt catalogue line" in capsys.readouterr().err
         assert catalog_query("def", str(path)) is not None and len(path.read_bytes().splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"[1, 2]", b"null", b'"input_digest result engine_version wall_time_s"', b'{"input_digest": "def"}'],
+        ids=["list", "null", "string-naming-the-fields", "missing-fields"],
+    )
+    def test_line_that_is_no_record_skipped_with_warning(self, tmp_path, capsys, line):
+        path = tmp_path / "cat.ndjson"
+        path.write_bytes(line + b"\n")
+        assert catalog_query("def", str(path)) is None
+        assert f"warning: {path}:1: skipping corrupt catalogue line" in capsys.readouterr().err
+
     def test_concurrent_appends_are_serialised(self, tmp_path):
         path = tmp_path / "cat.ndjson"
         start = time.time() + 0.5

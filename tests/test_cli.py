@@ -343,6 +343,18 @@ class TestCliContracts:
         digests = [json.loads(line)["input_digest"] for line in cat.read_text().splitlines()]
         assert digests[0] == digests[1] != digests[2]
 
+    def test_cli_defaults_match_the_library(self):
+        # The CLI keeps its own copies so that its cold path imports no engine.
+        from inspect import signature
+
+        from patcol.cli import _CONFIG_KEYS, build_parser
+        from patcol.clique import brute_force_clique
+        from patcol.hypergraph import DEFAULT_EDGE_CAP
+
+        assert _CONFIG_KEYS["edge_cap"][-1] == DEFAULT_EDGE_CAP
+        vertex_cap = build_parser().parse_args(["clique"]).vertex_cap
+        assert vertex_cap == signature(brute_force_clique).parameters["vertex_cap"].default
+
     def test_config_not_an_object_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1,2]")
@@ -363,6 +375,9 @@ class TestCliContracts:
             ("budget_s", float("inf")),
             pytest.param("budget_s", 10**400, id="budget_s-int-beyond-float"),
             ("edge_cap", 0),
+            # Quoted as a short excerpt, not as its 1,000 characters.  (985 deep, as
+            # seen from the command line, is past the decoder's room under pytest.)
+            pytest.param("budget_s", json.loads("[" * 500 + "]" * 500), id="budget_s-nested-500"),
         ],
     )
     def test_bad_config_values_exit_2(self, capsys, tmp_path, key, value):
@@ -373,6 +388,7 @@ class TestCliContracts:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error: ") and key in err and len(err.strip().splitlines()) == 1
+        assert len(err) < 200
 
     @pytest.mark.parametrize(
         "name,value",
@@ -598,17 +614,24 @@ class TestLazyImports:
         if argv[0] == "partitions":  # no --catalog: neither the catalogue nor its digest
             assert not loaded & {"patcol.catalog", "hashlib"}
 
+    def test_sigma_spectrum_loads_no_explicit_engine(self):
+        argv = ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"]
+        loaded = _patcol_modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0")
+        assert "patcol.sigma_engine" in loaded and "patcol.colouring" not in loaded
+        assert "patcol.colouring" not in _patcol_modules_after("import patcol.sigma_engine")
+
     def test_package_import_loads_no_submodule(self):
         assert _patcol_modules_after("import patcol") == {"patcol"}
 
     def test_reexports_resolve_on_first_use(self):
         loaded = _patcol_modules_after("import patcol\nfor name in patcol.__all__:\n    getattr(patcol, name)")
         assert loaded == {"patcol", "patcol.budget", "patcol.colouring", "patcol.hypergraph", "patcol.partitions"}
-        from patcol import colouring, hypergraph, partitions
+        from patcol import budget, colouring, hypergraph, partitions
 
         names = ["Colouring", "Hypergraph", "Partition", "PatternSet", "SigmaHypergraph", "Spectrum"]
         assert patcol.__all__ == ["__version__", *names]
-        assert (patcol.Colouring, patcol.Spectrum) == (colouring.Colouring, colouring.Spectrum)
+        assert patcol.Colouring is colouring.Colouring
+        assert patcol.Spectrum is budget.Spectrum is colouring.Spectrum
         assert (patcol.Hypergraph, patcol.SigmaHypergraph) == (hypergraph.Hypergraph, hypergraph.SigmaHypergraph)
         assert (patcol.Partition, patcol.PatternSet) == (partitions.Partition, partitions.PatternSet)
         with pytest.raises(AttributeError, match="no_such_name"):

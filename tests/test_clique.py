@@ -51,6 +51,8 @@ class TestOmega:
             omega_sigma(SigmaHypergraph(2, 3, 3, pset(3, (1, 1, 1))))
         with pytest.raises(ValueError, match="q="):
             omega_sigma(SigmaHypergraph(3, 3, 1, pset(3, (2, 1))))
+        with pytest.raises(ValueError, match="non-empty"):
+            omega_sigma(SigmaHypergraph(3, 3, 3, PatternSet.of(3, [])))
 
     def test_matches_brute_force_exhaustively_r3(self):
         universe = sorted(enumerate_partitions(3))

@@ -267,6 +267,8 @@ class TestSpectrum:
         assert spec.feasible == ()
         with pytest.raises(ValueError):
             spec.chi
+        with pytest.raises(ValueError, match="no upper chromatic number"):
+            Spectrum((), 1).chi_bar
 
     def test_deeper_than_the_default_recursion_limit(self):
         # The search recurses once per vertex; 1200 vertices pass the default limit of 1000.

@@ -150,6 +150,18 @@ class TestGrid:
         h = build_grid(2, 2, 2, p4, p4, 4)
         assert h.edges == build_complete(8, 4).edges
 
+    def test_pattern_sets_over_another_r_rejected(self):
+        q31, q21 = pset(4, (3, 1)), pset(3, (2, 1))
+        for rp, cp in ((q21, q31), (q31, q21)):
+            with pytest.raises(ValueError, match="partitions of r"):
+                build_grid(4, 2, 2, rp, cp, 4)
+
+    def test_edge_cap_refusal(self):
+        q31 = pset(4, (3, 1))
+        assert len(build_grid(4, 2, 2, q31, q31, 4, edge_cap=comb(16, 4)).edges) == 96
+        with pytest.raises(EdgeCapExceeded, match="1820 subsets"):
+            build_grid(4, 2, 2, q31, q31, 4, edge_cap=comb(16, 4) - 1)
+
 
 class TestRamsey:
     @pytest.mark.parametrize(
@@ -243,3 +255,7 @@ class TestValidation:
     def test_repeated_vertex_in_edge(self):
         with pytest.raises(ValueError):
             make_hypergraph(2, 3, [(1, 1)])
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="vertex_count must be positive"):
+            make_hypergraph(2, 0, [])

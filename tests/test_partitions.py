@@ -63,6 +63,17 @@ class TestPartitionBasics:
         assert format_partition((3, 1, 1, 1)) == "[3,1,1,1]"
         with pytest.raises(ValueError):
             parse_partition("[3,x]")
+        with pytest.raises(ValueError, match="array of integers"):
+            parse_partition("[1.5]")
+
+    @pytest.mark.parametrize(
+        "make",
+        [monochromatic, rainbow, lambda r: PatternSet.of(r, []), lambda r: build_family("classical", r)],
+        ids=["monochromatic", "rainbow", "PatternSet.of", "build_family"],
+    )
+    def test_rejects_r_zero(self, make):
+        with pytest.raises(ValueError, match="r must be positive"):
+            make(0)
 
 
 class TestEnumeration:

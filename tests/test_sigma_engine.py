@@ -184,6 +184,8 @@ class TestDistValid:
         assert dist_valid(cdmc(s), types, types).ok
         verdict = dist_valid(cdmc(s), types, pset(3, (3,)))
         assert not verdict.ok and verdict.witness.pattern == (2, 1)
+        # A two-field NamedTuple is always truthy; the verdict's truth is ``ok``.
+        assert bool(dist_valid(cdmc(s), types, types)) is True and bool(verdict) is False
 
     def test_two_classes_same_colour(self):
         d = DistributionMatrix.from_rows(2, 3, [{0: 3}, {0: 3}])
