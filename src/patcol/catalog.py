@@ -12,7 +12,6 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
-import os
 import sys
 from typing import NamedTuple
 
@@ -46,8 +45,6 @@ class CatalogEntry(NamedTuple):
 
 
 def _iter_entries(path: str):
-    if not os.path.exists(path):
-        return
     with open(path, "rb") as fh:  # bytes, so a line that is not UTF-8 is one more corrupt line
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -83,12 +80,3 @@ def catalog_append(entry: CatalogEntry, path: str) -> CatalogEntry:
         flagged = entry._replace(conflict=conflict)
         fh.write(canonical_json(flagged._asdict()) + "\n")
     return flagged
-
-
-def catalog_query(digest: str, path: str) -> CatalogEntry | None:
-    """Newest entry with the given digest, or None."""
-    newest = None
-    for entry in _iter_entries(path):
-        if entry.input_digest == digest:
-            newest = entry
-    return newest

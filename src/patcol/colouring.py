@@ -33,7 +33,7 @@ witness.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .budget import Deadline, Spectrum, _Ticker, check_targets, collect_spectrum, recursion_room
 from .hypergraph import Hypergraph
@@ -93,21 +93,6 @@ def is_valid(h: Hypergraph, c: Colouring, allowed: PatternSet) -> ValidityReport
     for e in h.sorted_edges():
         p = pat(e, c)
         if p not in allowed:
-            return ValidityReport(False, e, p)
-    return ValidityReport(True)
-
-
-def is_valid_L(
-    h: Hypergraph, c: Colouring, constraint: Mapping[tuple[int, ...], PatternSet]
-) -> ValidityReport:
-    """Per-edge constrained validity: each edge carries its own pattern set."""
-    if len(c.colours) != h.vertex_count:
-        raise ValueError(f"colouring covers {len(c.colours)} vertices, hypergraph has {h.vertex_count}")
-    for e in h.sorted_edges():
-        if e not in constraint:
-            raise ValueError(f"no pattern set supplied for edge {list(e)}")
-        p = pat(e, c)
-        if p not in constraint[e]:
             return ValidityReport(False, e, p)
     return ValidityReport(True)
 

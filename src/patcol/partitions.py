@@ -53,19 +53,6 @@ def load_json(raw: str | bytes, source: str):
         raise ValueError(f"{source}: {exc}") from exc
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse the bracketed text form, e.g. "[3,1,1,1]"."""
-    data = load_json(text, f"partition {text!r}")
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
-        raise ValueError(f"partition text must be a JSON array of integers, got {text!r}")
-    return as_partition(data)
-
-
-def format_partition(p: Partition) -> str:
-    """Render as compact bracketed text, e.g. "[3,1,1,1]"."""
-    return "[" + ",".join(str(x) for x in p) + "]"
-
-
 class PatternSet:
     """A set of partitions of a fixed r; immutable and hashable.
 
@@ -129,10 +116,6 @@ class PatternSet:
         if not self.members:
             raise ValueError("most_parts is undefined on an empty pattern set")
         return max(len(p) for p in self.members)
-
-    def union(self, other: "PatternSet") -> "PatternSet":
-        self._require_same_r(other)
-        return PatternSet(self.r, self.members | other.members)
 
     def difference(self, other: "PatternSet") -> "PatternSet":
         self._require_same_r(other)

@@ -250,7 +250,7 @@ class TestRecolouring:
         assert is_valid(h, c3, chain(3)).ok
 
     def test_simply_closed_colouring_valid_for_every_k(self):
-        q = chain(3).union(pset(3, (2, 1)))  # any superset of the chain works
+        q = PatternSet.of(3, [*chain(3), (2, 1)])  # any superset of the chain works
         h = build_complete(6, 3)
         for k in range(1, 7):
             assert is_valid(h, simply_closed_colouring(h, k), q).ok

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from patcol.catalog import CatalogEntry, catalog_append, catalog_query, digest_inputs
+from patcol.catalog import CatalogEntry, catalog_append, digest_inputs
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -42,16 +42,25 @@ class TestDigest:
         assert digest_inputs({"k": 2}) != digest_inputs({"k": 3})
 
 
+def records(path) -> list[CatalogEntry]:
+    return [CatalogEntry.from_json_dict(json.loads(line)) for line in open(path).read().splitlines()]
+
+
+# A catalogue is queried by the scan in catalog_append: an append with the
+# digest of an earlier record and another result is flagged as a conflict,
+# and its warning names the earlier record's engine version.
 class TestCatalog:
-    def test_append_then_query(self, tmp_path):
+    def test_append_then_query(self, tmp_path, capsys):
         path = str(tmp_path / "cat.ndjson")
-        catalog_append(entry(), path)
-        got = catalog_query("abc", path)
-        assert got is not None and got.result == 1 and got.engine_version == "0.1.0"
+        assert catalog_append(entry(), path) == entry()
+        assert catalog_append(entry(result=2), path).conflict is True
+        assert "(engine 0.1.0)" in capsys.readouterr().err
 
     def test_query_empty(self, tmp_path):
-        path = str(tmp_path / "missing.ndjson")
-        assert catalog_query("abc", path) is None
+        # Appending to a missing file creates it with one record.
+        path = tmp_path / "missing.ndjson"
+        assert catalog_append(entry(), str(path)).conflict is False
+        assert records(path) == [entry()]
 
     def test_same_digest_new_version_keeps_both_newest_wins(self, tmp_path, capsys):
         path = str(tmp_path / "cat.ndjson")
@@ -59,10 +68,8 @@ class TestCatalog:
         flagged = catalog_append(entry(result=2, version="0.2.0"), path)
         assert flagged.conflict is True
         assert "different result" in capsys.readouterr().err
-        lines = open(path).read().splitlines()
-        assert len(lines) == 2  # append-only, both retained
-        newest = catalog_query("abc", path)
-        assert newest.result == 2 and newest.engine_version == "0.2.0"
+        # Append-only: both are kept, the newest last.
+        assert records(path) == [entry(result=1, version="0.1.0"), flagged]
 
     def test_same_result_not_flagged(self, tmp_path):
         path = str(tmp_path / "cat.ndjson")
@@ -76,13 +83,14 @@ class TestCatalog:
         assert catalog_append(entry(result={"feasible": (2, 4)}), path).conflict is False
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, capsys):
+        # The good line 4 is read after two corrupt lines; the blank line 2 draws no warning.
         path = tmp_path / "cat.ndjson"
         good = json.dumps(entry().to_json_dict())
-        path.write_text("not json at all\n" + good + "\n{\"half\": true}\n")
-        got = catalog_query("abc", str(path))
+        path.write_text("not json at all\n\n{\"half\": true}\n" + good + "\n")
+        assert catalog_append(entry(result=2), str(path)).conflict is True
         err = capsys.readouterr().err
-        assert got is not None and got.result == 1
         assert err.count("skipping corrupt") == 2
+        assert f"{path}:1: skipping corrupt" in err and f"{path}:3: skipping corrupt" in err
 
     @pytest.mark.parametrize(
         "bad", [b'{"input_digest": "\xff"}', b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deep-nesting"]
@@ -94,7 +102,9 @@ class TestCatalog:
             fh.write(bad + b"\n")
         assert catalog_append(entry(digest="def"), str(path)).conflict is False
         assert f"warning: {path}:2: skipping corrupt catalogue line" in capsys.readouterr().err
-        assert catalog_query("def", str(path)) is not None and len(path.read_bytes().splitlines()) == 3
+        # The record after the corrupt line is read.
+        assert catalog_append(entry(digest="def", result=2), str(path)).conflict is True
+        assert len(path.read_bytes().splitlines()) == 4
 
     @pytest.mark.parametrize(
         "line",
@@ -104,7 +114,7 @@ class TestCatalog:
     def test_line_that_is_no_record_skipped_with_warning(self, tmp_path, capsys, line):
         path = tmp_path / "cat.ndjson"
         path.write_bytes(line + b"\n")
-        assert catalog_query("def", str(path)) is None
+        assert catalog_append(entry(digest="def"), str(path)).conflict is False
         assert f"warning: {path}:1: skipping corrupt catalogue line" in capsys.readouterr().err
 
     def test_concurrent_appends_are_serialised(self, tmp_path):

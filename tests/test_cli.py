@@ -447,6 +447,7 @@ class TestCliContracts:
             + ["--row-patterns", "[[4]]", "--col-patterns", "[[4]]", "--r", "4"],
             ["spectrum", "--Q", "[[2,1]]"],
             ["spectrum", "--sigma", "n=²,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
+            ["classify", "--r", "3", "--Q", "[[1.5,1.5]]"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, argv):

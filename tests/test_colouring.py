@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from patcol import colouring
 from patcol.analysis import ramsey_check
-from patcol.budget import BudgetExceeded, Deadline
+from patcol.budget import BudgetExceeded, Deadline, collect
 from patcol.colouring import (
     Colouring,
     Spectrum,
     classical_chromatic_number,
     exists_k_colouring,
     is_valid,
-    is_valid_L,
     pat,
+    search_colourings,
     spectrum,
 )
 from patcol.hypergraph import (
@@ -28,7 +28,7 @@ from patcol.hypergraph import (
     make_hypergraph,
 )
 from patcol.partitions import PatternSet, enumerate_partitions, monochromatic, rainbow
-from patcol.sigma_engine import sigma_exists_k, sigma_spectrum
+from patcol.sigma_engine import sigma_exists_k, sigma_search, sigma_spectrum
 
 from oracles import naive_exists_k, naive_spectrum
 
@@ -51,6 +51,10 @@ class TestColouringType:
             Colouring.of((0, 2, 0), 3)  # colour 1 unused
         with pytest.raises(ValueError):
             Colouring.of((0, 1, 1), 3)
+        # Without k, k is the number of colours used, and they must still be 0..k-1.
+        assert Colouring.of((0, 1, 1)).k == 2
+        with pytest.raises(ValueError):
+            Colouring.of((0, 2))
 
     def test_empty_colouring_rejected(self):
         with pytest.raises(ValueError, match="at least one vertex"):
@@ -99,8 +103,6 @@ class TestValidity:
         h, c = build_complete(4, 3), Colouring.of((0, 0, 1), 2)
         with pytest.raises(ValueError, match="covers 3 vertices"):
             is_valid(h, c, pset(3, (2, 1)))
-        with pytest.raises(ValueError, match="covers 3 vertices"):
-            is_valid_L(h, c, {e: pset(3, (2, 1)) for e in h.edges})
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -125,35 +127,6 @@ class TestValidity:
         rng.shuffle(perm)
         pc = Colouring.of(tuple(perm[x] for x in c.colours), k)
         assert is_valid(h, c, allowed).ok == is_valid(h, pc, allowed).ok
-
-
-class TestPerEdgeConstraints:
-    def test_same_set_everywhere_reduces_to_plain_validity(self):
-        h = build_complete(4, 3)
-        q = pset(3, (2, 1))
-        c = Colouring.of((0, 0, 1, 1), 2)
-        constraint = {e: q for e in h.sorted_edges()}
-        assert is_valid_L(h, c, constraint).ok == is_valid(h, c, q).ok
-
-    def test_mixed_edge_kinds(self):
-        # One no-monochromatic edge, one no-rainbow edge.
-        h = make_hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
-        no_mono = enumerate_partitions(3).without(monochromatic(3))
-        no_rainbow = enumerate_partitions(3).without(rainbow(3))
-        constraint = {(0, 1, 2): no_mono, (2, 3, 4): no_rainbow}
-        c_bad_mono = Colouring.of((0, 0, 0, 1, 2), 3)
-        rep = is_valid_L(h, c_bad_mono, constraint)
-        assert not rep.ok and rep.violating_edge == (0, 1, 2)
-        c_bad_rainbow = Colouring.of((0, 0, 1, 2, 3), 4)
-        rep = is_valid_L(h, c_bad_rainbow, constraint)
-        assert not rep.ok and rep.violating_edge == (2, 3, 4)
-        c_ok = Colouring.of((0, 0, 1, 1, 0), 2)
-        assert is_valid_L(h, c_ok, constraint).ok
-
-    def test_missing_constraint_rejected(self):
-        h = build_complete(3, 3)
-        with pytest.raises(ValueError):
-            is_valid_L(h, Colouring.of((0, 0, 0), 1), {})
 
 
 class TestSearch:
@@ -247,7 +220,7 @@ class TestSearch:
     def test_monotone_in_allowed_set(self):
         h = grid_instance()
         smaller = Q31
-        larger = Q31.union(pset(4, (2, 2)))
+        larger = PatternSet.of(4, [*Q31, (2, 2)])
         feasible_small = set(spectrum(h, smaller, k_max=5).feasible)
         feasible_large = set(spectrum(h, larger, k_max=5).feasible)
         assert feasible_small <= feasible_large
@@ -331,6 +304,18 @@ class TestSpectrum:
             assert spec.feasible == per_k and not spec.unknown, (r, nv, h.edges, allowed)
             gaps += bool(spec.gaps)
         assert gaps > 0
+
+    def test_empty_target_set_settles_nothing(self):
+        s = SigmaHypergraph(2, 3, 2, pset(3, (2, 1)))
+        h, q = build_sigma_explicit(s), pset(3, (2, 1))
+
+        def found(witness):
+            raise AssertionError(f"no count is open, yet {witness} was reported")
+
+        assert search_colourings(h, q, set(), found) is None
+        assert sigma_search(s, q, set(), found) is None
+        assert collect(search_colourings, h, q, targets=(), budget_s=None) == {}
+        assert collect(sigma_search, s, q, targets=(), budget_s=None) == {}
 
     def test_overrun_never_reports_infeasible(self):
         q = pset(3, (3,), (1, 1, 1))

@@ -68,7 +68,7 @@ class TestSigmaExplicit:
     def test_disjoint_type_sets_partition_the_edges(self):
         s1 = SigmaHypergraph(3, 4, 3, pset(4, (3, 1)))
         s2 = SigmaHypergraph(3, 4, 3, pset(4, (2, 2), (2, 1, 1)))
-        both = SigmaHypergraph(3, 4, 3, s1.edge_types.union(s2.edge_types))
+        both = SigmaHypergraph(3, 4, 3, PatternSet.of(4, [*s1.edge_types, *s2.edge_types]))
         e1 = build_sigma_explicit(s1).edges
         e2 = build_sigma_explicit(s2).edges
         assert e1.isdisjoint(e2)

@@ -14,10 +14,8 @@ from patcol.partitions import (
     enumerate_partitions,
     ex_closure,
     expand_once,
-    format_partition,
     iter_partitions,
     monochromatic,
-    parse_partition,
     rainbow,
     rd_closure,
     reduce_once,
@@ -57,14 +55,6 @@ class TestPartitionBasics:
     def test_extremes(self):
         assert monochromatic(4) == (4,)
         assert rainbow(4) == (1, 1, 1, 1)
-
-    def test_text_roundtrip(self):
-        assert parse_partition("[3,1,1,1]") == (3, 1, 1, 1)
-        assert format_partition((3, 1, 1, 1)) == "[3,1,1,1]"
-        with pytest.raises(ValueError):
-            parse_partition("[3,x]")
-        with pytest.raises(ValueError, match="array of integers"):
-            parse_partition("[1.5]")
 
     @pytest.mark.parametrize(
         "make",
@@ -299,4 +289,4 @@ class TestPatternSet:
 
     def test_mixed_r_rejected(self):
         with pytest.raises(ValueError):
-            pset(4, (3, 1)).union(pset(3, (2, 1)))
+            pset(4, (3, 1)).difference(pset(3, (2, 1)))

@@ -512,7 +512,7 @@ class TestSpectrum:
         q31 = pset(4, (3, 1))
         for n, qs in [(2, 2), (3, 2), (2, 3)]:
             t1, t2 = pset(4, (2, 2)), pset(4, (3, 1))
-            both = SigmaHypergraph(n, 4, qs, t1.union(t2))
+            both = SigmaHypergraph(n, 4, qs, PatternSet.of(4, [*t1, *t2]))
             s1 = SigmaHypergraph(n, 4, qs, t1)
             s2 = SigmaHypergraph(n, 4, qs, t2)
             spec = set(sigma_spectrum(both, q31).feasible)
