@@ -18,7 +18,7 @@ Library layout:
 on first use (PEP 562), so a CLI command loads only the modules it runs.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # Each lazily re-exported name with the submodule that defines it.
 _EXPORTS = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .budget import BudgetExceeded, Deadline, Spectrum, collect, gap_verdict, probe
 from .colouring import Colouring, is_valid, search_colourings
@@ -30,7 +30,10 @@ from .partitions import (
     monochromatic,
     rainbow,
 )
-from .sigma_engine import DistributionMatrix, enumerate_valid_distributions, sigma_search, sigma_spectrum
+
+# sigma_engine is imported where used, so ``ramsey_check`` loads only the explicit engine.
+if TYPE_CHECKING:
+    from .sigma_engine import DistributionMatrix
 
 
 def _and3(*flags: bool | None) -> bool | None:
@@ -122,6 +125,8 @@ def _colourings_up_to_relabel(m: DistributionMatrix) -> int:
 
 def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None = None) -> TightReport:
     """Evaluate the four tight-colourability conditions on one instance."""
+    from .sigma_engine import enumerate_valid_distributions, sigma_search, sigma_spectrum
+
     nq = s.vertex_count
     spec = sigma_spectrum(s, allowed, k_max=nq, budget_s=budget_s)
 
@@ -246,6 +251,8 @@ def verify_lemma_constructions(r: int, budget_s: float | None = LEMMA_BUDGET_S) 
     witnessed among the probed counts.  At r=3 only the not-simply-closed
     case has a qualifying set; the other two first qualify at r=4.
     """
+    from .sigma_engine import sigma_search
+
     if r not in (3, 4):
         raise ValueError("constructions are verified at r=3 and r=4 only")
     m, rb = monochromatic(r), rainbow(r)
@@ -365,6 +372,8 @@ def gap_witness_search(
     reported separately so budget exhaustion shrinks the grid visibly instead
     of silently.
     """
+    from .sigma_engine import sigma_spectrum
+
     if allowed.r != r:
         raise ValueError(f"pattern set is over r={allowed.r}, expected {r}")
     sets = list(sigma_sets) if sigma_sets is not None else list(_subsets_smallest_first(r))

@@ -139,11 +139,15 @@ def iter_partitions(r: int) -> Iterator[Partition]:
     return bounded_partitions(r, r, r)
 
 
-def bounded_partitions(m: int, max_parts: int, max_val: int, avoid: Sequence[Partition] = ()) -> Iterator[Partition]:
+def bounded_partitions(
+    m: int, max_parts: int, max_val: int, avoid: Sequence[Partition] = (), cap: int = 0
+) -> Iterator[Partition]:
     """Partitions of m into at most max_parts parts, each at most max_val, lex-descending.
 
-    None that dominates a member of ``avoid`` is built: each member the first
-    part dominates passes its tail to the rest; an empty tail rules it out.
+    With a ``cap``, only those whose later parts are at most cap, in the same
+    order, a first part above cap written as cap.  None that dominates a
+    member of ``avoid`` is built: each member the first part dominates passes
+    its tail to the rest; an empty tail rules it out.
     """
     if m == 0:
         yield ()
@@ -152,11 +156,12 @@ def bounded_partitions(m: int, max_parts: int, max_val: int, avoid: Sequence[Par
         return
     # A first part below ceil(m / max_parts) leaves too much for the rest.
     for first in range(min(m, max_val), -(-m // max_parts) - 1, -1):
-        tails = [p[1:] for p in avoid if first >= p[0]] if avoid else avoid
+        head = min(first, cap) if cap else first
+        tails = [p[1:] for p in avoid if head >= p[0]] if avoid else avoid
         if () in tails:
             continue
-        for rest in bounded_partitions(m - first, max_parts - 1, first, tails):
-            yield (first,) + rest
+        for rest in bounded_partitions(m - first, max_parts - 1, head, tails):
+            yield (head,) + rest
 
 
 def dominates(big: Partition, small: Partition) -> bool:

@@ -31,18 +31,22 @@ the same way whatever the target, which only caps the number of fresh
 colours, so a spectrum is one pass that prunes a branch only when no target
 still open is reachable from it.
 
-The decision searches (``sigma_exists_k``, ``sigma_search``) also quotient
-class order, since permuting classes maps valid matrices to valid ones with
+The decision searches (``sigma_exists_k``, ``sigma_search``) search capped
+rows: an edge takes at most A vertices of a class, A the largest part of a
+realizable type, so validity depends only on counts capped at A.  A capped
+row has counts in 1..A and sums to q or holds an A; a witness adds the slack
+to its first colour holding A.  They also quotient class order, canonical on
+capped rows, since permuting classes maps valid matrices to valid ones with
 the same k.  Rows come sorted by count multiset and, within a run of equal
 multisets, lex-descending as dense count vectors (double-lex order).  Every
 orbit has such a column-canonical member: row multisets survive column
 permutations, and sorting a run's rows or sorting the columns only raises
 the row-major flattening, so alternating the two sorts ends in a matrix
-ordered both ways.  ``enumerate_valid_distributions`` keeps class order.
+ordered both ways.  ``enumerate_valid_distributions`` keeps full rows and
+class order: counting colourings needs exact counts.
 """
 from __future__ import annotations
 
-from math import comb
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import Deadline, Spectrum, _Ticker, check_targets, collect_spectrum, recursion_room
@@ -54,15 +58,14 @@ from .partitions import Partition, PatternSet, bounded_partitions, dominates, it
 Row = tuple[tuple[int, int], ...]
 
 # The draws of size a from a row are cached only when they are provably
-# few: their number is at most C(a + m - 1, a) for a row of m colours (every
-# split of a among the colours) and at most the product of min(count, a) + 1
-# (every vector of takes), and one of the two must be at most this.  Longer
-# lists are generated lazily and never stored, so a placement that stops at
-# its first forbidden hit stops building draws too.  perfbench, seed 2,
-# medians of 3 interleaved runs (CPython 3.11, 2-vCPU Xeon VM, scaled to its
-# reference speed): caching no list takes `sigma-grid` from 0.47 to 0.70 s;
-# caching every list takes `sigma-tight` from 0.145 to 0.230 s and its peak
-# RSS from 22.2 to 34.0 MB.
+# few: their number is at most the product of min(count, a) + 1 over the
+# row's colours (every vector of takes), which must be at most this.
+# Longer lists are generated lazily and never stored, so a placement that
+# stops at its first forbidden hit stops building draws too.  perfbench,
+# seed 2, medians of 3 interleaved runs (CPython 3.11, 2-vCPU Xeon VM,
+# scaled to its reference speed): caching no list takes `sigma-grid` from
+# 0.32 to 0.38 s; caching every list takes `sigma-tight` from 0.050 to
+# 0.078 s and its peak RSS from 18.2 to 21.9 MB.
 _CACHED_DRAWS_MAX = 16
 
 
@@ -209,12 +212,11 @@ class _Search:
         hit = self.draw_cache.get(key)
         if hit is not None:
             return hit
-        if comb(a + len(row) - 1, a) > _CACHED_DRAWS_MAX:
-            bound = 1
-            for _, v in row:
-                bound *= min(v, a) + 1
-                if bound > _CACHED_DRAWS_MAX:
-                    return _sub_multisets(row, a)
+        bound = 1
+        for _, v in row:
+            bound *= min(v, a) + 1
+            if bound > _CACHED_DRAWS_MAX:
+                return _sub_multisets(row, a)
         hit = self.draw_cache[key] = list(_sub_multisets(row, a))
         return hit
 
@@ -283,18 +285,19 @@ class _Search:
         return self.q + 1
 
     def candidate_rows(
-        self, used: int, max_fresh: int, first: Partition | None
+        self, used: int, max_fresh: int, first: Partition | None, cap: int
     ) -> Iterator[tuple[Row, int, Partition]]:
         """Canonical next-class rows, as (row, colours used after this row, its count multiset).
 
-        Rows are enumerated as a count multiset (a partition of q, largest-first,
-        so monochromatic reuse comes first) followed by an assignment of counts to
-        colours.  The colours are grouped: used colours by their placed column,
-        then up to max_fresh fresh colours as the last group.  Within a group
-        counts go to ascending colour indices, so they fall along it because
-        parts come largest first, and per-colour caps derived from single-colour
-        draw violations cut reuse early.  Only multisets within those bounds are
-        generated: at most one count per colour available, none above the
+        Rows are enumerated as a count multiset (a partition of q capped at
+        ``cap``, largest-first, so monochromatic reuse comes first) followed
+        by an assignment of counts to colours.  The colours are grouped: used
+        colours by their placed column, then up to max_fresh fresh colours as
+        the last group.  Within a group counts go to ascending colour indices,
+        so they fall along it because parts come largest first, and
+        per-colour caps derived from single-colour draw violations (q or
+        below ``cap``) cut reuse early.  Only multisets within those bounds
+        are generated: at most one count per colour available, none above the
         largest cap, and none dominating a dead draw.
 
         With ``first`` None no class order is imposed.  Otherwise ``first``
@@ -345,9 +348,10 @@ class _Search:
                     room[target] += 1
                 xs[c] = 0
 
-        top = max(caps) if first is None else min(max(caps), first[0])
-        # Every count needs its own colour, and none may exceed every cap.
-        for lam in bounded_partitions(q, ncol, top, self.row_forbidden):
+        # Every count needs its own colour, and none may exceed every cap; a
+        # first part of cap in ``first`` stands for any lead from cap up.
+        top = max(caps) if first is None or first[0] == cap else min(max(caps), first[0])
+        for lam in bounded_partitions(q, ncol, top, self.row_forbidden, cap):
             self.ticker.tick()
             if first is not None and lam > first:
                 continue
@@ -408,19 +412,28 @@ def _search_distributions(
     parts = {a for sigma in sigma_types for a in sigma}
     dead = {p for a in parts for p in iter_partitions(a) if not any(dominates(w, p) for w in allowed.members)}
     row_forbidden = sorted(p for p in dead if not any(o != p and dominates(p, o) for o in dead))
+    cap = max(parts, default=q) if sort_classes else q
     search = _Search(q, sigma_types, allowed.members, deadline, row_forbidden)
     rows = search.rows
+
+    def full(row: Row) -> dict[int, int]:
+        # A capped row's slack goes to its first colour holding cap.
+        counts = dict(row)
+        if slack := q - sum(counts.values()):
+            counts[next(c for c, v in row if v == cap)] += slack
+        return counts
 
     def rec(ci: int, used: int, first: Partition | None) -> Iterator[DistributionMatrix]:
         search.ticker.tick()
         if ci == n:
             if used in targets:
-                yield DistributionMatrix.from_rows(n, q, rows)
+                yield DistributionMatrix.from_rows(n, q, [full(row) for row in rows])
             return
-        reach = used + (n - ci) * q
+        # Later rows are lex-at-most ``first``: if it is all ones, no longer.
+        reach = used + (n - ci) * (len(first) if first and first[0] == 1 else q)
         if not any(used <= t <= reach for t in targets):
             return
-        for row, new_used, lam in search.candidate_rows(used, max(targets) - used, first):
+        for row, new_used, lam in search.candidate_rows(used, max(targets) - used, first, cap):
             rows.append(row)
             if search.newest_row_violation() is None:
                 yield from rec(ci + 1, new_used, lam if sort_classes else None)

@@ -128,8 +128,10 @@ class TestCheckTight:
         [
             # No count is feasible and none is unknown: there is no colouring at all.
             (SigmaHypergraph(2, 3, 2, pset(3, (2, 1))), PatternSet.of(3, []), None, False),
-            # The budget ran out before any count was found: every count is unknown.
-            (SigmaHypergraph(8, 3, 8, pset(3, (2, 1), (1, 1, 1))), pset(3, (2, 1)), 0, None),
+            # The budget ran out before any count was found: every count is
+            # unknown.  Without a budget this spectrum is proven empty after
+            # far more than the ticker's first stride.
+            (SigmaHypergraph(8, 4, 8, pset(4, (2, 1, 1), (1, 1, 1, 1))), pset(4, (2, 1, 1)), 0, None),
         ],
         ids=["proven-empty", "overrun"],
     )
@@ -141,9 +143,11 @@ class TestCheckTight:
 
     def test_uniqueness_overrun_stays_unknown(self):
         # A zero budget's first clock check always finds the deadline passed.
-        q = pset(3, (2, 1))
-        report = check_tight(SigmaHypergraph(6, 3, 5, q), q, budget_s=0)
-        assert report.k == 6 and report.spectrum.unknown == tuple(k for k in range(1, 31) if k != 6)
+        # The spectrum finds k=8 before it, and both it and the uniqueness
+        # enumeration need many more ticks to finish.
+        q = pset(4, (2, 2))
+        report = check_tight(SigmaHypergraph(8, 4, 10, q), q, budget_s=0)
+        assert report.k == 8 and report.spectrum.unknown == tuple(k for k in range(1, 81) if k != 8)
         assert report.unique_up_to_relabel is None and report.equal_class_sizes is None
         assert report.verdict is None
 
@@ -381,6 +385,12 @@ class TestGapSearch:
     def test_mismatched_r_rejected(self):
         with pytest.raises(ValueError):
             gap_witness_search(3, pset(4, (3, 1)), [2], [2])
+
+    def test_r4_three_one_grid_has_no_gap(self):
+        # The paper's closing result at r=4, Q={(3,1)}: no Sigma-hypergraph
+        # has a gap.  All 31 type sets on n, q <= 6, each point decided in 5 s.
+        report = gap_witness_search(4, pset(4, (3, 1)), range(1, 7), range(1, 7), budget_s=5)
+        assert report.hits == () and report.unresolved == ()
 
     def test_budget_overrun_is_unresolved(self):
         # A zero budget leaves every count unknown: neither a gap nor "no gap".

@@ -621,6 +621,11 @@ class TestLazyImports:
         assert "patcol.sigma_engine" in loaded and "patcol.colouring" not in loaded
         assert "patcol.colouring" not in _patcol_modules_after("import patcol.sigma_engine")
 
+    def test_ramsey_loads_no_distribution_engine(self):
+        argv = ["ramsey", "--n", "5", "--r", "2", "--p", "3", "--k", "2", "--Q", "[[2,1],[1,1,1]]"]
+        loaded = _patcol_modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0")
+        assert "patcol.analysis" in loaded and "patcol.colouring" in loaded and "patcol.sigma_engine" not in loaded
+
     def test_package_import_loads_no_submodule(self):
         assert _patcol_modules_after("import patcol") == {"patcol"}
 

@@ -107,6 +107,21 @@ class TestEnumeration:
                 want = [lam for lam in bounded_partitions(m, p, v) if not any(dominates(lam, pi) for pi in avoid)]
                 assert list(bounded_partitions(m, p, v, avoid)) == want, (m, p, v, avoid)
 
+    def test_bounded_cap_matches_filtered_oracle(self):
+        # With a cap, the partitions whose later parts are at most cap come in
+        # the same order, each first part above cap written as cap; avoid,
+        # whose parts fit under the cap too, acts on that capped form.
+        rng = random.Random(7)
+        small = [p for a in range(1, 7) for p in iter_partitions(a)]
+        for m in range(13):
+            for _ in range(20):
+                p, v, cap = rng.randint(0, 13), rng.randint(0, 13), rng.randint(1, 7)
+                avoid = rng.sample([pi for pi in small if pi[0] <= cap], rng.randint(0, 3))
+                kept = [lam for lam in bounded_partitions(m, p, v) if all(x <= cap for x in lam[1:])]
+                capped = [tuple(min(x, cap) for x in lam) for lam in kept]
+                want = [c for c in capped if not any(dominates(c, pi) for pi in avoid)]
+                assert list(bounded_partitions(m, p, v, avoid, cap)) == want, (m, p, v, avoid, cap)
+
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             enumerate_partitions(0)

@@ -11,7 +11,7 @@ from patcol import sigma_engine
 from patcol.budget import BudgetExceeded, Deadline
 from patcol.colouring import Colouring, exists_k_colouring, is_valid
 from patcol.hypergraph import SigmaHypergraph, build_sigma_explicit
-from patcol.partitions import PatternSet, bounded_partitions, build_family, enumerate_partitions
+from patcol.partitions import PatternSet, build_family, enumerate_partitions
 from patcol.sigma_engine import (
     DistributionMatrix,
     _Search,
@@ -215,9 +215,12 @@ class TestDraws:
 
 
 def _check_class_order_quotient(rng: random.Random, trials: int, n_max: int, q_min: int, q_max: int) -> tuple[int, int]:
-    """Decision searches reach exactly the canonical class orders of every enumerated matrix.
+    """Decision searches reach every capped orbit of the enumerated matrices.
 
-    Returns (witnesses checked, matrices the quotient dropped).
+    A matrix's capped form takes min(count, A) for A the largest part of a
+    realizable type.  The searches reach exactly the capped forms in canonical
+    class order, each once; double-lex order leaves some orbits with more than
+    one such form.  Returns (witnesses checked, matrices the quotient dropped).
     """
     witnesses = dropped = 0
     for _ in range(trials):
@@ -227,31 +230,37 @@ def _check_class_order_quotient(rng: random.Random, trials: int, n_max: int, q_m
         types = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 2))))
         allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 3))))
         s = SigmaHypergraph(n, r, q, types)
-        order = {lam: i for i, lam in enumerate(bounded_partitions(q, q, q))}
+        cap = max((a for sigma in s.realizable_types() for a in sigma), default=q)
 
-        def canonical_order(m: DistributionMatrix) -> bool:
-            keys = [order[tuple(sorted(filter(None, row), reverse=True))] for row in m.counts]
-            return all(a < b or a == b and x >= y for a, b, x, y in zip(keys, keys[1:], m.counts, m.counts[1:]))
+        def capped(rows) -> tuple:
+            # Columns sorted descending, as the engine labels colours.
+            return tuple(zip(*sorted(zip(*[[min(v, cap) for v in row] for row in rows]), reverse=True)))
 
-        def orbit(m: DistributionMatrix) -> tuple:
-            return min(DistributionMatrix.from_rows(n, q, p).counts for p in permutations(m.rows()))
+        def canonical_order(c: tuple) -> bool:
+            keys = [sorted(filter(None, row), reverse=True) for row in c]
+            return all(a > b or a == b and x >= y for a, b, x, y in zip(keys, keys[1:], c, c[1:]))
+
+        def orbit(c: tuple) -> tuple:
+            return min(capped(p) for p in permutations(c))
 
         for k in range(1, n * q + 1):
             every = list(enumerate_valid_distributions(s, allowed, k))
             searched: list[DistributionMatrix] = []
             sigma_search(s, allowed, {k}, lambda m: searched.append(m) and False)
-            assert len(searched) == len(set(searched))
-            assert set(searched) == {m for m in every if canonical_order(m)}
+            reached = [capped(m.counts) for m in searched]
+            assert len(reached) == len(set(reached))
+            assert set(reached) == {c for m in every if canonical_order(c := capped(m.counts))}
+            assert {orbit(c) for c in reached} == {orbit(capped(m.counts)) for m in every}
+            for m in searched:
+                assert m.k == k and dist_valid(m, types, allowed).ok
+                assert all(sum(v > cap for v in row) <= 1 for row in m.counts), (m, cap)
             dropped += len(every) - len(searched)
-            assert {orbit(m) for m in searched} == {orbit(m) for m in every}
             w = sigma_exists_k(s, allowed, k)
             assert (w is None) == (not every), (r, n, q, sorted(types), sorted(allowed), k)
             if w is None:
                 continue
             witnesses += 1
-            assert w.k == k and dist_valid(w, types, allowed).ok
-            assert DistributionMatrix.from_rows(n, q, w.rows()) == w
-            assert canonical_order(w), w
+            assert w == searched[0] and DistributionMatrix.from_rows(n, q, w.rows()) == w
     return witnesses, dropped
 
 
@@ -305,16 +314,18 @@ class TestSigmaExistsK:
 
     def test_row_walk_checks_deadline(self):
         # Under class order, the multisets lex-above the last row's are read
-        # and skipped; a run of them must still consult the deadline.
-        search = _Search(60, [(3,)], enumerate_partitions(3).members, Deadline(0.0))
-        search.rows.append(((0, 30),) + tuple((c, 1) for c in range(1, 31)))
+        # and skipped; a run of them must still consult the deadline.  The
+        # rows are capped at 4, and the 300 or so partitions of 60 into parts
+        # of at most 3 that start with 3 all come before (3, 1, ..., 1).
+        search = _Search(60, [(4,)], enumerate_partitions(4).members, Deadline(0.0))
+        search.rows.append(((0, 3),) + tuple((c, 1) for c in range(1, 58)))
         with pytest.raises(BudgetExceeded):
-            next(search.candidate_rows(31, 0, (30,) + (1,) * 30))
+            next(search.candidate_rows(58, 0, (3,) + (1,) * 57, 4))
 
     def test_dropped_multisets_have_dead_draws(self, monkeypatch):
-        # Each multiset the row generator leaves out allows a draw, of some
-        # part of some realizable type, that no choice of the edge's other
-        # vertices' colours turns into an allowed pattern.
+        # Each capped multiset the row generator leaves out allows a draw, of
+        # some part of some realizable type, that no choice of the edge's
+        # other vertices' colours turns into an allowed pattern.
         walks = []
         real = sigma_engine.bounded_partitions
         monkeypatch.setattr(sigma_engine, "bounded_partitions", lambda *args: walks.append(args) or real(*args))
@@ -328,7 +339,9 @@ class TestSigmaExistsK:
             walks.clear()
             for k in range(1, min(s.vertex_count, 6) + 1):
                 sigma_exists_k(s, allowed, k)
-            lost = {lam for m, p, v, avoid in walks for lam in set(real(m, p, v)) - set(real(m, p, v, avoid))}
+            lost = {
+                lam for m, p, v, avoid, cap in walks for lam in set(real(m, p, v, (), cap)) - set(real(m, p, v, avoid, cap))
+            }
             for lam in lost:
                 row = tuple(enumerate(lam))
                 assert any(
@@ -412,6 +425,16 @@ class TestPinnedSearchOrder:
             ((3, 1, 0, 0, 0), (0, 0, 3, 1, 0), (0, 0, 0, 1, 3)),
             ((3, 1, 0, 0, 0), (0, 0, 3, 1, 0), (0, 1, 0, 1, 2)),
         ]
+
+    def test_capped_witnesses_take_slack_on_first_colour_holding_cap(self):
+        # Decisions place rows capped at A = 4, and the capped row (4, 1)
+        # gets its slack on the colour holding 4: (5, 1).  On the other
+        # colour it would be (4, 2), which allows the draw (2, 2) outside Q.
+        s = SigmaHypergraph(3, 4, 6, pset(4, (4,)))
+        q = pset(4, (4,), (3, 1), (1, 1, 1, 1))
+        assert sigma_exists_k(s, q, 4).counts == ((5, 1, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6))
+        w = sigma_exists_k(s, q, 5)
+        assert w.counts == ((5, 1, 0, 0, 0), (5, 0, 1, 0, 0), (0, 0, 0, 5, 1)) and dist_valid(w, s.edge_types, q).ok
 
     def test_three_class_dist_valid_witness(self):
         d = DistributionMatrix.from_rows(4, 3, [{0: 1, 1: 2}, {0: 2, 2: 1}, {1: 1, 2: 2}, {0: 3}])
