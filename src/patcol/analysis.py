@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import comb, factorial, prod
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from math import comb
+from typing import Iterable, Iterator, NamedTuple
 
 from .budget import BudgetExceeded, Deadline, Spectrum, collect, gap_verdict, probe
 from .colouring import Colouring, is_valid, search_colourings
@@ -32,8 +32,6 @@ from .partitions import (
 )
 
 # sigma_engine is imported where used, so ``ramsey_check`` loads only the explicit engine.
-if TYPE_CHECKING:
-    from .sigma_engine import DistributionMatrix
 
 
 def _and3(*flags: bool | None) -> bool | None:
@@ -61,6 +59,10 @@ class TightReport(NamedTuple):
     up to relabelling colours, its colour classes have equal size, and no
     pattern can be dropped from the allowed set without destroying
     colourability.
+
+    A unique colouring is one colour, rainbow or cdmc, so its classes are
+    equal: permuting classes, or vertices within a class, maps edges to edges
+    and so must fix its partition into colours (README, Semantics).
     """
 
     spectrum_singleton: bool | None
@@ -113,18 +115,12 @@ def canonical_tight_instance(patterns: PatternSet) -> SigmaHypergraph:
     return SigmaHypergraph(2 * r, r, (r - 1) ** 2 + 1, patterns)
 
 
-def _colourings_up_to_relabel(m: DistributionMatrix) -> int:
-    """How many vertex colourings, up to relabelling colours, realise m.
-
-    Each class row is realised in q!/prod(counts!) ways; the colour
-    permutations fixing m (g! for each group of g equal columns) act freely on them.
-    """
-    ways = prod(factorial(m.q) // prod(map(factorial, row)) for row in m.counts)
-    return ways // prod(map(factorial, Counter(zip(*m.counts)).values()))
-
-
 def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None = None) -> TightReport:
-    """Evaluate the four tight-colourability conditions on one instance."""
+    """Evaluate the four tight-colourability conditions on one instance.
+
+    At the least feasible count k, uniqueness holds at once for k = 1 or nq,
+    fails for any other k but n, and at k = n is one capped search.
+    """
     from .sigma_engine import enumerate_valid_distributions, sigma_search, sigma_spectrum
 
     nq = s.vertex_count
@@ -136,15 +132,15 @@ def check_tight(s: SigmaHypergraph, allowed: PatternSet, budget_s: float | None 
     # A spectrum proven empty has no colouring to be unique or evenly sized.
     unique = equal_sizes = None if spec.unknown else False
     if k0 is not None:
+        deadline = Deadline(budget_s)
         try:
-            first, total = None, 0
-            for m in enumerate_valid_distributions(s, allowed, k0, deadline=Deadline(budget_s)):
-                first = first or m
-                total += _colourings_up_to_relabel(m)
-                if total > 1:
-                    break
-            unique = total == 1
-            equal_sizes = first is not None and len(set(first.colour_totals())) == 1
+            # Only one colour, rainbow or cdmc can be unique (see TightReport);
+            # cdmc is unique iff no valid n-colouring gives a class two colours.
+            unique = k0 in (1, nq) or (
+                k0 == s.n and sigma_search(s, allowed, {k0}, lambda m: any(len(r) > 1 for r in m.rows()), deadline) is None
+            )
+            first = None if unique else next(enumerate_valid_distributions(s, allowed, k0, deadline))
+            equal_sizes = unique or len(set(first.colour_totals())) == 1
         except BudgetExceeded:
             unique = equal_sizes = None
 

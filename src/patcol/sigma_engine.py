@@ -43,7 +43,7 @@ orbit has such a column-canonical member: row multisets survive column
 permutations, and sorting a run's rows or sorting the columns only raises
 the row-major flattening, so alternating the two sorts ends in a matrix
 ordered both ways.  ``enumerate_valid_distributions`` keeps full rows and
-class order: counting colourings needs exact counts.
+class order, so it lists each valid matrix once, with its exact counts.
 """
 from __future__ import annotations
 

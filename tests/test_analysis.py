@@ -109,8 +109,34 @@ class TestCheckTight:
                                 continue
                             count = naive_colourings_up_to_relabel(s, allowed, report.k)
                             assert report.unique_up_to_relabel == (count == 1), (n, r, q, sorted(types), allowed)
+                            # Only one colour, rainbow or cdmc can be unique.
+                            assert count != 1 or report.k in (1, n, n * q)
                             checked += 1
         assert checked > 400
+
+    def test_uniqueness_matches_brute_force_r4_sample(self):
+        # A seeded sample at r=4, 4 <= nq <= 7, with the monochromatic pattern
+        # never allowed, so that most instances need colours.
+        rng = random.Random(1)
+        universe = sorted(enumerate_partitions(4))  # (4) is last
+        shapes = [(n, q) for n in range(1, 8) for q in range(1, 8) if 4 <= n * q <= 7]
+        seen = set()
+        for _ in range(60):
+            n, q = rng.choice(shapes)
+            types = PatternSet(4, frozenset(rng.sample(universe, rng.randint(1, 5))))
+            allowed = PatternSet(4, frozenset(rng.sample(universe[:-1], rng.randint(1, 4))))
+            s = SigmaHypergraph(n, 4, q, types)
+            report = check_tight(s, allowed)
+            if report.k is None:
+                continue
+            count = naive_colourings_up_to_relabel(s, allowed, report.k)
+            assert report.unique_up_to_relabel == (count == 1), (n, q, sorted(types), allowed)
+            # The search runs only at k = n when n is neither 1 nor nq.
+            kind = "one" if report.k == 1 else "rainbow" if report.k == n * q else "cdmc" if report.k == n else "other"
+            assert count != 1 or kind != "other"
+            seen.add((kind, count == 1))
+        # Both outcomes of the search at k = n, and counts it never runs at.
+        assert {("cdmc", True), ("cdmc", False), ("other", False)} <= seen
 
     def test_small_instance_spectrum_matches_explicit_engine(self):
         q = pset(3, (2, 1))
@@ -144,7 +170,7 @@ class TestCheckTight:
     def test_uniqueness_overrun_stays_unknown(self):
         # A zero budget's first clock check always finds the deadline passed.
         # The spectrum finds k=8 before it, and both it and the uniqueness
-        # enumeration need many more ticks to finish.
+        # search need many more ticks to finish.
         q = pset(4, (2, 2))
         report = check_tight(SigmaHypergraph(8, 4, 10, q), q, budget_s=0)
         assert report.k == 8 and report.spectrum.unknown == tuple(k for k in range(1, 81) if k != 8)

@@ -179,7 +179,9 @@ class TestTightCommand:
         assert code == 0 and data["verdict"] == "true" and data["k"] == 6
 
     def test_budget_overrun_is_unknown_and_exits_3(self, capsys):
-        code, data = run(capsys, "tight", "--sigma", "n=6,r=3,q=5", "--Sigma", "[[2,1]]", "--budget", "0")
+        # The uniqueness search here needs more ticks than the ticker's stride.
+        code, data = run(capsys, "tight", "--sigma", "n=8,r=4,q=10", "--Sigma", "[[2,2]]", "--budget", "0")
+        assert data["k"] == 8
         assert code == 3 and data["verdict"] == "unknown" and data["unique_up_to_relabel"] == "unknown"
 
 
