@@ -17,10 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .budget import BudgetExceeded, Deadline, Spectrum, collect, gap_verdict, probe
-from .colouring import Colouring, is_valid, search_colourings
 from .hypergraph import Hypergraph, SigmaHypergraph, build_complete, build_ramsey
 from .partitions import (
     Partition,
@@ -31,7 +30,9 @@ from .partitions import (
     rainbow,
 )
 
-# sigma_engine is imported where used, so ``ramsey_check`` loads only the explicit engine.
+# Each engine is imported where used, so a command loads only the engine it runs.
+if TYPE_CHECKING:
+    from .colouring import Colouring
 
 
 def _and3(*flags: bool | None) -> bool | None:
@@ -170,6 +171,8 @@ def recolour_merge_top(c: Colouring, h: Hypergraph, allowed: PatternSet) -> Colo
     Requires a reduction-closed pattern set, under which the merge provably
     preserves validity; the postcondition is still checked defensively.
     """
+    from .colouring import Colouring, is_valid
+
     if c.k < 2:
         raise ValueError("need at least two colours to merge")
     if not classify_robust(allowed).reduction_closed:
@@ -190,6 +193,8 @@ def recolour_split(c: Colouring, h: Hypergraph, allowed: PatternSet) -> Colourin
     Requires an expansion-closed pattern set; the recoloured vertex is the
     least-indexed one whose colour appears at least twice.
     """
+    from .colouring import Colouring, is_valid
+
     if not classify_robust(allowed).expansion_closed:
         raise ValueError("splitting a colour requires an expansion-closed pattern set")
     if not is_valid(h, c, allowed):
@@ -212,6 +217,8 @@ def simply_closed_colouring(h: Hypergraph, k: int) -> Colouring:
     valid whenever the allowed set contains the whole chain from (r) down to
     the rainbow pattern.
     """
+    from .colouring import Colouring
+
     if not 1 <= k <= h.vertex_count:
         raise ValueError(f"need 1 <= k <= {h.vertex_count}, got k={k}")
     colours = tuple(min(v, k - 1) for v in range(h.vertex_count))
@@ -247,6 +254,7 @@ def verify_lemma_constructions(r: int, budget_s: float | None = LEMMA_BUDGET_S) 
     witnessed among the probed counts.  At r=3 only the not-simply-closed
     case has a qualifying set; the other two first qualify at r=4.
     """
+    from .colouring import search_colourings
     from .sigma_engine import sigma_search
 
     if r not in (3, 4):
@@ -366,17 +374,26 @@ def gap_witness_search(
 
     Grid points whose spectra contain unknowns that block the gap call are
     reported separately so budget exhaustion shrinks the grid visibly instead
-    of silently.
+    of silently.  An empty grid raises ValueError: a scan of nothing must not
+    read as "no gap found".
     """
     from .sigma_engine import sigma_spectrum
 
     if allowed.r != r:
         raise ValueError(f"pattern set is over r={allowed.r}, expected {r}")
+    ns, qs = sorted(set(n_range)), sorted(set(q_range))
     sets = list(sigma_sets) if sigma_sets is not None else list(_subsets_smallest_first(r))
+    for values, what in (
+        (ns, "n range (--n-min..--n-max)"),
+        (qs, "q range (--q-min..--q-max)"),
+        (sets, "type-set list (--Sigma)"),
+    ):
+        if not values:
+            raise ValueError(f"nothing to scan: empty {what}")
     hits: list[GapHit] = []
     unresolved: list[dict] = []
-    for n in sorted(set(n_range)):
-        for q in sorted(set(q_range)):
+    for n in ns:
+        for q in qs:
             for sig in sets:
                 s = SigmaHypergraph(n, r, q, sig)
                 cap = s.vertex_count if k_max is None else min(k_max, s.vertex_count)
@@ -419,6 +436,8 @@ def ramsey_check(
     set must exclude the monochromatic pattern of the bundle uniformity,
     otherwise the statement under test is vacuously false.
     """
+    from .colouring import search_colourings
+
     if k < 1:
         raise ValueError(f"need k >= 1 colours, got k={k}")
     uniformity = comb(p, r)

@@ -14,17 +14,19 @@ one more group, and within a group assigns counts non-increasingly along
 ascending colour indices, so each colour-relabelling class is enumerated
 essentially once.
 
-One row check decides every forbidden-pattern question: when a class row is
-appended, each edge placement with one part drawn from that newest row and
-the other parts from older rows is tested.  Placements inside older rows were
-tested when those rows were newest, so checking rows as they are appended
-covers every placement.  The search prunes on it, ``dist_valid`` turns its
-first hit into a witness, and ``realizable_patterns`` collects its hits.
-Additionally, per-colour count caps are derived by testing single-colour
-draws, which kills most branches before a row is even completed.  No row is
-generated that allows a dead draw, of a part of a realizable type, whose
-pattern no allowed pattern dominates: other parts only add counts, so every
-edge taking the draw is forbidden and no valid matrix holds the row.
+One row check decides every forbidden-pattern question: it tests each edge
+placement with one part drawn from the newest class row and the other parts
+from older rows, which were tested when they were newest, so checking rows in
+order covers every placement.  ``dist_valid`` turns its first hit into a
+witness and ``realizable_patterns`` collects its hits.  The search checks each
+prefix of a row as it builds it (forward checking): counts are assigned once,
+so a draw from a prefix is a draw from every completion.  When a colour gets
+its count, the draws holding it and another colour are tested, so each
+multi-colour draw is tested once, at its last colour; per-colour count caps,
+from the single-colour draws that force a violation, rule out the rest.  No
+row is generated that allows a dead draw, of a part of a realizable type,
+whose pattern no allowed pattern dominates: other parts only add counts, so
+every edge taking the draw is forbidden and no valid matrix holds the row.
 
 One search serves a whole set of target colour counts: rows are enumerated
 the same way whatever the target, which only caps the number of fresh
@@ -61,11 +63,12 @@ Row = tuple[tuple[int, int], ...]
 # few: their number is at most the product of min(count, a) + 1 over the
 # row's colours (every vector of takes), which must be at most this.
 # Longer lists are generated lazily and never stored, so a placement that
-# stops at its first forbidden hit stops building draws too.  perfbench,
-# seed 2, medians of 3 interleaved runs (CPython 3.11, 2-vCPU Xeon VM,
-# scaled to its reference speed): caching no list takes `sigma-grid` from
-# 0.32 to 0.38 s; caching every list takes `sigma-tight` from 0.050 to
-# 0.078 s and its peak RSS from 18.2 to 21.9 MB.
+# stops at its first forbidden hit stops building draws too.  Row prefixes
+# take the same rule.  perfbench, seed 2, medians of 3 interleaved runs
+# (CPython 3.11, 2-vCPU Xeon VM, scaled to its reference speed): caching no
+# list takes `sigma-grid` from 0.32 to 0.41 s and `sigma-tight` from 0.041
+# to 0.052 s; caching every list is no faster on either and takes
+# `sigma-tight`'s peak RSS from 17.89 to 18.04 MB.
 _CACHED_DRAWS_MAX = 16
 
 
@@ -176,10 +179,11 @@ class ForbiddenWitness(NamedTuple):
 class _Search:
     """The state of one search and the tables built once for it.
 
-    ``rows`` are the placed class rows, which a caller appends and pops.
-    Every placement and every count multiset read ticks the one ticker.  No
-    row is generated that allows a draw in ``row_forbidden``, the minimal dead
-    draws: the pattern of an edge taking one dominates it, so is not allowed.
+    ``rows`` are the placed class rows, which a caller appends and pops;
+    ``candidate_rows`` keeps the row it builds last while it runs.  Every
+    placement and every count multiset read ticks the one ticker.  No row is
+    generated that allows a draw in ``row_forbidden``, the minimal dead draws:
+    the pattern of an edge taking one dominates it, so is not allowed.
     """
 
     def __init__(
@@ -252,19 +256,26 @@ class _Search:
                     return hit[0], [(cls, draw), *hit[1]]
         return None
 
-    def newest_row_violation(self) -> tuple[Partition, Partition, list[tuple[int, Row]]] | None:
+    def newest_row_violation(self, prefix: bool = False) -> tuple[Partition, Partition, list[tuple[int, Row]]] | None:
         """The first placement with one part drawn from the newest class whose pattern is forbidden.
 
         Returns (edge type, pattern, placement), the placement starting with
         the newest class's draw, or None.  Placements entirely inside older
         classes were checked when those classes were newest, so appending
-        rows one at a time and checking each keeps full coverage.
+        rows one at a time and checking each keeps full coverage.  With
+        ``prefix`` the row's first colour got its count last, and only draws
+        holding it and another colour are tested; ``draws`` lists them first.
         """
         last = len(self.rows) - 1
+        row = self.rows[last]
         for sigma, a, rest in self.splits:
             if len(rest) > last:
                 continue
-            for draw in self.draws(self.rows[last], a):
+            for draw in self.draws(row, a):
+                if prefix and draw[0][0] != row[0][0]:
+                    break  # the first colour's take has fallen to zero for good
+                if prefix and len(draw) == 1:
+                    continue
                 hit = self.place(rest, 0, last, 0, -1, dict(draw))
                 if hit is not None:
                     return sigma, hit[0], [(last, draw), *hit[1]]
@@ -328,10 +339,13 @@ class _Search:
             prev = [0] * ncol
             for c, v in self.rows[-1]:
                 prev[c] = v
+        rows = self.rows
+        rows.append(())  # the row being built: its prefixes, newest colour first, then the row
 
-        def assign(parts: Partition, pi: int, prev_target: int, tie: bool) -> Iterator[Row]:
+        def assign(parts: Partition, pi: int, prev_target: int, tie: bool, built: Row) -> Iterator[Row]:
             if pi == len(parts):
-                yield tuple((c, v) for c, v in enumerate(xs) if v)
+                rows[-1] = row = tuple((c, v) for c, v in enumerate(xs) if v)
+                yield row
                 return
             v = parts[pi]
             # Equal parts take non-decreasing targets, killing permuted repeats.
@@ -343,9 +357,11 @@ class _Search:
                 xs[c] = v
                 # Unplaced counts only raise xs, so once it exceeds prev the row will.
                 if not (tie and xs > prev):
-                    room[target] -= 1
-                    yield from assign(parts, pi + 1, target, tie)
-                    room[target] += 1
+                    rows[-1] = grown = ((c, v), *built)
+                    if not (pi and self.newest_row_violation(prefix=True)):
+                        room[target] -= 1
+                        yield from assign(parts, pi + 1, target, tie, grown)
+                        room[target] += 1
                 xs[c] = 0
 
         # Every count needs its own colour, and none may exceed every cap; a
@@ -355,8 +371,9 @@ class _Search:
             self.ticker.tick()
             if first is not None and lam > first:
                 continue
-            for row in assign(lam, 0, 0, lam == first):
+            for row in assign(lam, 0, 0, lam == first, ()):
                 yield row, max(used, row[-1][0] + 1), lam
+        rows.pop()
 
 
 def realizable_patterns(d: DistributionMatrix, edge_types: PatternSet) -> PatternSet:
@@ -433,11 +450,8 @@ def _search_distributions(
         reach = used + (n - ci) * (len(first) if first and first[0] == 1 else q)
         if not any(used <= t <= reach for t in targets):
             return
-        for row, new_used, lam in search.candidate_rows(used, max(targets) - used, first, cap):
-            rows.append(row)
-            if search.newest_row_violation() is None:
-                yield from rec(ci + 1, new_used, lam if sort_classes else None)
-            rows.pop()
+        for _, new_used, lam in search.candidate_rows(used, max(targets) - used, first, cap):
+            yield from rec(ci + 1, new_used, lam if sort_classes else None)
 
     # One level per class, below it the row generators' (up to q deep).
     with recursion_room(n + q + s.r):

@@ -343,7 +343,7 @@ class TestLemmaSuite:
     @pytest.mark.parametrize(
         "r,budget_s,sha256",
         [
-            (3, 0, "437d9cf29259e6cfbecf9dcab626c4b7085496a63dcc426263b1dc55d3ed839c"),
+            (3, 0, "013c6037e42d0c1d841c1ea386f7361dae6bbf7f4cfd871f7dce3eb77bd82b4a"),
             (3, 120, "423bb4451251d0ac14534e926e5fa88b47d37cc95a1c018f81a899b75e6e808c"),
             (4, 0, "ea385731b3b55cd7613c2bf84e04fa84dc572057ef5e7b11b33cd50427be3bce"),
             (4, 120, "2544b5606cdb6ad800432c688649b2d489bcbe8925a3be5ccff4ec35cf1a987a"),

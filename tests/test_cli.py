@@ -207,6 +207,21 @@ class TestGapsCommand:
         assert code == 3
         assert data == {"hits": [], "unresolved": [{"n": 5, "q": 4, "Sigma": [[2, 1, 1]]}]}
 
+    @pytest.mark.parametrize(
+        "grid,flag",
+        [
+            (["--n-min", "3", "--n-max", "2", "--q-max", "2"], "--n-min..--n-max"),
+            (["--n-max", "2", "--q-min", "2", "--q-max", "1"], "--q-min..--q-max"),
+            (["--n-max", "2", "--q-max", "2", "--Sigma", "[]"], "--Sigma"),
+        ],
+    )
+    def test_empty_grid_exits_2_naming_the_flag(self, capsys, grid, flag):
+        # A grid that scans nothing must not print an empty "no gap found" report.
+        code = main(["gaps", "--r", "4", "--Q", "[[3,1]]", *grid])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: nothing to scan") and flag in err and len(err.strip().splitlines()) == 1
+
 
 class TestRamseyCommand:
     def test_desk_pair(self, capsys):
@@ -622,6 +637,17 @@ class TestLazyImports:
         loaded = _patcol_modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0")
         assert "patcol.sigma_engine" in loaded and "patcol.colouring" not in loaded
         assert "patcol.colouring" not in _patcol_modules_after("import patcol.sigma_engine")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tight", "--sigma", "n=6,r=3,q=5", "--Sigma", "[[2,1]]"],
+            ["gaps", "--r", "3", "--Q", "[[3],[1,1,1]]", "--n-max", "1", "--q-max", "3"],
+        ],
+    )
+    def test_distribution_commands_load_no_explicit_engine(self, argv):
+        loaded = _patcol_modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0")
+        assert "patcol.analysis" in loaded and "patcol.sigma_engine" in loaded and "patcol.colouring" not in loaded
 
     def test_ramsey_loads_no_distribution_engine(self):
         argv = ["ramsey", "--n", "5", "--r", "2", "--p", "3", "--k", "2", "--Q", "[[2,1],[1,1,1]]"]

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patcol import sigma_engine
+from patcol.analysis import check_tight
 from patcol.budget import BudgetExceeded, Deadline
 from patcol.colouring import Colouring, exists_k_colouring, is_valid
 from patcol.hypergraph import SigmaHypergraph, build_sigma_explicit
@@ -386,6 +388,62 @@ class TestSigmaExistsK:
         q = pset(4, (3, 1))
         s = SigmaHypergraph(4, 4, 3, pset(4, (1, 1, 1, 1)))
         assert sigma_exists_k(s, q, 3) == sigma_exists_k(s, q, 3)
+
+
+class TestRowPrefixChecks:
+    """The row generator tests each row prefix as it builds it (``candidate_rows``)."""
+
+    @staticmethod
+    def _yielded_rows(monkeypatch, check) -> list:
+        rows = []
+        real = _Search.candidate_rows
+
+        def recording(self, *args):
+            for row, *rest in real(self, *args):
+                check(self, row)
+                rows.append(row)
+                yield (row, *rest)
+
+        monkeypatch.setattr(_Search, "candidate_rows", recording)
+        return rows
+
+    def test_every_descended_row_passes_the_whole_row_check(self, monkeypatch):
+        # A multi-colour draw is tested when its last colour gets its count,
+        # and the ban caps rule out pure draws, so no row the unfiltered check
+        # rejects is ever descended into, by decisions or by enumeration.
+        # Each search stops after 100 rows, so the sweep is the same on any machine.
+        class Enough(Exception):
+            pass
+
+        def check(search, row):
+            assert search.rows[-1] == row and search.newest_row_violation() is None, search.rows
+            if len(descended) - before >= 100:
+                raise Enough
+
+        descended = self._yielded_rows(monkeypatch, check)
+        rng = random.Random(24)
+        for _ in range(60):
+            r = rng.randint(3, 5)
+            universe = sorted(enumerate_partitions(r))
+            types = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 2))))
+            s = SigmaHypergraph(rng.randint(1, 4), r, rng.randint(1, 7), types)
+            allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, 3))))
+            before = len(descended)
+            with contextlib.suppress(Enough):
+                sigma_search(s, allowed, set(range(1, s.vertex_count + 1)), lambda m: False)
+            for k in range(1, min(s.vertex_count, 6) + 1):
+                before = len(descended)
+                with contextlib.suppress(Enough):
+                    list(islice(enumerate_valid_distributions(s, allowed, k), 50))
+        assert len(descended) > 10000
+
+    def test_dead_rows_are_cut_at_a_prefix(self, monkeypatch):
+        # Refuting k = 9..80 here once yielded 597 rows, most of them dead
+        # (such as ten ones over ten used colours, dead at their second colour).
+        rows = self._yielded_rows(monkeypatch, lambda search, row: None)
+        q22 = pset(4, (2, 2))
+        report = check_tight(SigmaHypergraph(8, 4, 10, q22), q22)
+        assert report.verdict is True and len(rows) < 100
 
 
 class TestPinnedSearchOrder:
