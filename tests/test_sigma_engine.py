@@ -438,8 +438,8 @@ class TestRowPrefixChecks:
         assert len(descended) > 10000
 
     def test_dead_rows_are_cut_at_a_prefix(self, monkeypatch):
-        # Refuting k = 9..80 here once yielded 597 rows, most of them dead
-        # (such as ten ones over ten used colours, dead at their second colour).
+        # Checking only finished rows, the generator yields 597 rows here, most
+        # of them dead (such as ten ones over ten colours, dead at the second).
         rows = self._yielded_rows(monkeypatch, lambda search, row: None)
         q22 = pset(4, (2, 2))
         report = check_tight(SigmaHypergraph(8, 4, 10, q22), q22)
