@@ -414,11 +414,6 @@ class RamseyReport(NamedTuple):
     colourable: bool | None
     witness: Colouring | None
 
-    @property
-    def holds(self) -> bool | None:
-        """True when no colouring with up to k colours exists."""
-        return _not3(self.colourable)
-
     def to_json_dict(self) -> dict:
         witness = self.witness.to_json_dict() if self.witness else None
         return {**self._asdict(), "colourable": _verdict_str(self.colourable), "witness": witness}

@@ -35,9 +35,6 @@ class CatalogEntry(NamedTuple):
     command: str = ""
     conflict: bool = False
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "CatalogEntry":
         """The record from its fields in ``data``; a missing field with no default is a TypeError."""

@@ -116,6 +116,12 @@ def _sigma_params(text: str) -> tuple[int, int, int]:
     return vals["n"], vals["r"], vals["q"]
 
 
+def _refuse(args, where: str, names) -> None:
+    """Reject the flags among ``names`` that were given: the command ignores them, and they would split the digest."""
+    if given := [n for n in dict.fromkeys(names) if (v := getattr(args, n, None)) is not None and v is not False]:
+        raise ValueError(f"{where} takes no {', '.join('--' + n.replace('_', '-') for n in given)}")
+
+
 def _read_inputs(args: argparse.Namespace) -> None:
     """Read, decode and check each input flag once; the handlers and the digest read the result."""
     for key in _PATTERN_FLAGS:
@@ -129,6 +135,7 @@ def _read_inputs(args: argparse.Namespace) -> None:
     if getattr(args, "sigma", None) is not None:
         args.sigma = _sigma_params(args.sigma)
     if getattr(args, "file", None) is not None:
+        _refuse(args, f"{args.command} --file", ["sigma", "Sigma", "explicit"])
         args.file = (_read(args.file), args.file)  # the arguments of hypergraph.parse_hypergraph
 
 
@@ -141,7 +148,7 @@ def _sigma_arg(args) -> SigmaHypergraph:
     from .hypergraph import SigmaHypergraph
 
     if args.sigma is None or args.Sigma is None:
-        raise ValueError("give --sigma n=..,r=..,q=.. with --Sigma")
+        raise ValueError("give --file, or --sigma n=..,r=..,q=.. with --Sigma")
     n, r, q = args.sigma
     return SigmaHypergraph(n, r, q, PatternSet.of(r, args.Sigma))
 
@@ -166,26 +173,25 @@ def _cmd_classify(args) -> tuple[dict, bool]:
     return {"r": args.r, "Q": q.to_json(), **report.to_json()}, False
 
 
-# The flags each build kind needs (argparse destinations).
-_BUILD_NEEDS = {
-    "complete": ("n", "r"),
-    "ramsey": ("n", "r", "p"),
-    "grid": ("rows", "cols", "cell_size", "row_patterns", "col_patterns", "r"),
-    "family": ("family", "r"),
-    "sigma": ("sigma", "Sigma"),
+# The flags each build kind needs, then the ones it may take (argparse destinations).
+_BUILD_FLAGS = {
+    "complete": (("n", "r"), ("out",)),
+    "ramsey": (("n", "r", "p"), ("out",)),
+    "grid": (("rows", "cols", "cell_size", "row_patterns", "col_patterns", "r"), ("out",)),
+    "family": (("family", "r"), ("alpha", "beta", "s", "t", "a", "b")),
+    "sigma": (("sigma", "Sigma"), ("explicit", "out")),
 }
 
 
 def _cmd_build(args) -> tuple[dict, bool]:
-    missing = [f"--{name.replace('_', '-')}" for name in _BUILD_NEEDS[args.kind] if getattr(args, name) is None]
+    needs, takes = _BUILD_FLAGS[args.kind]
+    missing = [f"--{name.replace('_', '-')}" for name in needs if getattr(args, name) is None]
     if missing:
         raise ValueError(f"build --kind {args.kind} needs {', '.join(missing)}")
+    ignored = [name for pair in _BUILD_FLAGS.values() for name in pair[0] + pair[1] if name not in needs + takes]
+    _refuse(args, f"build --kind {args.kind}", ignored)
     if args.kind == "family":
-        params = {
-            name: getattr(args, name)
-            for name in ("alpha", "beta", "s", "t", "a", "b")
-            if getattr(args, name) is not None
-        }
+        params = {name: getattr(args, name) for name in takes if getattr(args, name) is not None}
         fam = build_family(args.family, args.r, **params)
         return {"r": args.r, "family": args.family, "patterns": fam.to_json()}, False
     from .hypergraph import build_complete, build_grid, build_ramsey, build_sigma_explicit, write_hypergraph
@@ -201,6 +207,7 @@ def _cmd_build(args) -> tuple[dict, bool]:
     else:  # sigma
         s = _sigma_arg(args)
         if not args.explicit:
+            _refuse(args, "build --kind sigma without --explicit", ["out"])
             return {
                 "kind": "sigma",
                 **s.key(),
@@ -223,8 +230,6 @@ def _cmd_spectrum(args) -> tuple[dict, bool]:
         q = PatternSet.of(h.r, args.Q)
         spec = spectrum(h, q, k_max=args.k_max, budget_s=args.budget_s)
     else:
-        if not args.sigma:
-            raise ValueError("give --file, or --sigma with --Sigma")
         from .sigma_engine import sigma_spectrum
 
         s = _sigma_arg(args)
@@ -248,9 +253,9 @@ def _cmd_clique(args) -> tuple[dict, bool]:
 def _cmd_tight(args) -> tuple[dict, bool]:
     from .analysis import check_tight
 
+    args.Q = args.Sigma if args.Q is None else args.Q  # the digest counts the default as given
     s = _sigma_arg(args)
-    q = s.edge_types if args.Q is None else PatternSet.of(s.r, args.Q)
-    report = check_tight(s, q, budget_s=args.budget_s)
+    report = check_tight(s, PatternSet.of(s.r, args.Q), budget_s=args.budget_s)
     return report.to_json_dict(), report.verdict is None
 
 
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Sigma", help="allowed edge types")
     p.add_argument("--explicit", action="store_true", help="materialise the edge set")
     p.add_argument("--family", choices=list(FAMILY_KINDS))
-    for name in ("alpha", "beta", "s", "t", "a", "b"):
+    for name in _BUILD_FLAGS["family"][1]:
         p.add_argument(f"--{name}", type=int)
     p.add_argument("--out", help="write hypergraph JSON here instead of stdout")
     p.set_defaults(handler=_cmd_build)

@@ -111,9 +111,6 @@ class DistributionMatrix(NamedTuple):
     def colour_totals(self) -> tuple[int, ...]:
         return tuple(sum(row[j] for row in self.counts) for j in range(self.k))
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "q": self.q, "k": self.k, "counts": [list(r) for r in self.counts]}
-
 
 def cdmc(s: SigmaHypergraph) -> DistributionMatrix:
     """Each class monochromatic in its own colour."""
@@ -401,6 +398,8 @@ class DistValidity(NamedTuple):
 
 def dist_valid(d: DistributionMatrix, edge_types: PatternSet, allowed: PatternSet) -> DistValidity:
     """Valid iff every achievable pattern is allowed; else one witness."""
+    if allowed.r != edge_types.r:
+        raise ValueError(f"allowed patterns are over r={allowed.r}, edge types over r={edge_types.r}")
     search = _Search(d.q, list(edge_types), allowed.members)
     for row in d.rows():
         search.rows.append(row)

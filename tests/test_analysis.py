@@ -430,12 +430,12 @@ class TestRamseyCheck:
     def test_edge_two_colourings_of_k6_forced(self):
         no_mono = enumerate_partitions(3).without(monochromatic(3))
         report = ramsey_check(6, 2, 3, 2, no_mono)
-        assert report.colourable is False and report.holds is True
+        assert report.colourable is False
 
     def test_k5_admits_a_colouring(self):
         no_mono = enumerate_partitions(3).without(monochromatic(3))
         report = ramsey_check(5, 2, 3, 2, no_mono)
-        assert report.colourable is True and report.holds is False
+        assert report.colourable is True
         assert report.witness is not None and report.witness.k <= 2
 
     def test_smaller_allowed_set_stays_uncolourable(self):
@@ -453,7 +453,7 @@ class TestRamseyCheck:
 
     def test_overrun_is_unknown_not_uncolourable(self):
         report = ramsey_check(17, 2, 3, 3, pset(3, (2, 1), (1, 1, 1)), budget_s=0)
-        assert report.colourable is None and report.holds is None and report.witness is None
+        assert report.colourable is None and report.witness is None
 
     def test_wrong_uniformity_rejected(self):
         with pytest.raises(ValueError, match="bundle uniformity"):

@@ -85,7 +85,7 @@ class TestCatalog:
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, capsys):
         # The good line 4 is read after two corrupt lines; the blank line 2 draws no warning.
         path = tmp_path / "cat.ndjson"
-        good = json.dumps(entry().to_json_dict())
+        good = json.dumps(entry()._asdict())
         path.write_text("not json at all\n\n{\"half\": true}\n" + good + "\n")
         assert catalog_append(entry(result=2), str(path)).conflict is True
         err = capsys.readouterr().err

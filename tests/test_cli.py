@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import patcol
 from patcol.cli import main
 
 
@@ -348,6 +347,13 @@ class TestCliContracts:
         digests = [json.loads(line)["input_digest"] for line in cat.read_text().splitlines()]
         assert len(digests) == 2 and (digests[0] == digests[1]) == same
 
+    def test_tight_digest_counts_the_default_Q_as_given(self, capsys, tmp_path):
+        cat = tmp_path / "cat.ndjson"
+        argv = ["tight", "--sigma", "n=6,r=3,q=5", "--Sigma", "[[2,1]]", "--catalog", str(cat)]
+        assert run(capsys, *argv) == run(capsys, *argv, "--Q", "[[2,1]]")
+        digests = [json.loads(line)["input_digest"] for line in cat.read_text().splitlines()]
+        assert len(digests) == 2 and digests[0] == digests[1]
+
     def test_catalogue_digest_counts_file_content_not_path(self, capsys, tmp_path):
         cat, first, second = tmp_path / "cat.ndjson", tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "build", "--kind", "complete", "--n", "4", "--r", "3", "--out", str(first))
@@ -465,9 +471,23 @@ class TestCliContracts:
             ["spectrum", "--Q", "[[2,1]]"],
             ["spectrum", "--sigma", "n=²,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
             ["classify", "--r", "3", "--Q", "[[1.5,1.5]]"],
+            # Flags the command would ignore, which would split the catalogue digest (h.json is a valid file).
+            ["spectrum", "--file", "h.json", "--Q", "[[2,1]]", "--explicit"],
+            ["spectrum", "--file", "h.json", "--Q", "[[2,1]]", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]"],
+            ["clique", "--file", "h.json", "--sigma", "n=2,r=3,q=2"],
+            ["clique", "--file", "h.json", "--Sigma", "[[2,1]]"],
+            ["build", "--kind", "complete", "--n", "4", "--r", "3", "--p", "5"],
+            ["build", "--kind", "complete", "--n", "4", "--r", "3", "--rows", "2"],
+            ["build", "--kind", "sigma", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--n", "0"],
+            ["build", "--kind", "complete", "--n", "4", "--r", "3", "--alpha", "1"],
+            ["build", "--kind", "complete", "--n", "4", "--r", "3", "--explicit"],
+            ["build", "--kind", "family", "--r", "3", "--family", "classical", "--out", "f.json"],
+            ["build", "--kind", "sigma", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--out", "s.json"],
         ],
     )
-    def test_malformed_input_exits_2_with_one_line(self, capsys, argv):
+    def test_malformed_input_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.json").write_text('{"r": 3, "vertices": 4, "edges": [[0, 1, 2]]}')
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own errors exit from parse_args
@@ -656,20 +676,6 @@ class TestLazyImports:
 
     def test_package_import_loads_no_submodule(self):
         assert _patcol_modules_after("import patcol") == {"patcol"}
-
-    def test_reexports_resolve_on_first_use(self):
-        loaded = _patcol_modules_after("import patcol\nfor name in patcol.__all__:\n    getattr(patcol, name)")
-        assert loaded == {"patcol", "patcol.budget", "patcol.colouring", "patcol.hypergraph", "patcol.partitions"}
-        from patcol import budget, colouring, hypergraph, partitions
-
-        names = ["Colouring", "Hypergraph", "Partition", "PatternSet", "SigmaHypergraph", "Spectrum"]
-        assert patcol.__all__ == ["__version__", *names]
-        assert patcol.Colouring is colouring.Colouring
-        assert patcol.Spectrum is budget.Spectrum is colouring.Spectrum
-        assert (patcol.Hypergraph, patcol.SigmaHypergraph) == (hypergraph.Hypergraph, hypergraph.SigmaHypergraph)
-        assert (patcol.Partition, patcol.PatternSet) == (partitions.Partition, partitions.PatternSet)
-        with pytest.raises(AttributeError, match="no_such_name"):
-            patcol.no_such_name
 
 
 # Arbitrary JSON: scalars, and lists and objects nested up to a few levels.

@@ -75,10 +75,6 @@ class TestDistributionMatrix:
         m = cdmc(s)
         assert m.k == 3 and m.colour_totals() == (2, 2, 2)
 
-    def test_json_shape(self):
-        m = DistributionMatrix.from_rows(2, 2, [{0: 2}, {0: 1, 1: 1}])
-        assert m.to_json_dict() == {"n": 2, "q": 2, "k": 2, "counts": [[2, 0], [1, 1]]}
-
 
 class TestRealizablePatterns:
     def test_cdmc_realizes_exactly_the_realizable_types(self):
@@ -203,6 +199,11 @@ class TestDistValid:
         w = dist_valid(d, types, types).witness
         assert sorted(w.part_classes) == [0, 1]
         assert sum(v for pick in w.picks for _, v in pick) == 3
+
+    def test_pattern_sets_over_another_r_rejected(self):
+        d = DistributionMatrix.from_rows(2, 2, [{0: 2}, {1: 2}])
+        with pytest.raises(ValueError, match="r=4.*r=3"):
+            dist_valid(d, pset(3, (2, 1)), pset(4, (3, 1), (2, 2)))
 
 
 class TestDraws:
