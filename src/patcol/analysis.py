@@ -375,7 +375,8 @@ def gap_witness_search(
     Grid points whose spectra contain unknowns that block the gap call are
     reported separately so budget exhaustion shrinks the grid visibly instead
     of silently.  An empty grid raises ValueError: a scan of nothing must not
-    read as "no gap found".
+    read as "no gap found"; so does a type set listed twice, which would be
+    scanned and reported twice.
     """
     from .sigma_engine import sigma_spectrum
 
@@ -390,6 +391,8 @@ def gap_witness_search(
     ):
         if not values:
             raise ValueError(f"nothing to scan: empty {what}")
+    if repeated := [sig.to_json() for sig, count in Counter(sets).items() if count > 1]:
+        raise ValueError(f"type-set list (--Sigma) repeats {repeated[0]}")
     hits: list[GapHit] = []
     unresolved: list[dict] = []
     for n in ns:

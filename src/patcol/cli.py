@@ -117,13 +117,13 @@ def _sigma_params(text: str) -> tuple[int, int, int]:
 
 
 def _refuse(args, where: str, names) -> None:
-    """Reject the flags among ``names`` that were given: the command ignores them, and they would split the digest."""
+    """Reject the flags among ``names`` that were given: the command ignores them, so they would pass unnoticed."""
     if given := [n for n in dict.fromkeys(names) if (v := getattr(args, n, None)) is not None and v is not False]:
         raise ValueError(f"{where} takes no {', '.join('--' + n.replace('_', '-') for n in given)}")
 
 
 def _read_inputs(args: argparse.Namespace) -> None:
-    """Read, decode and check each input flag once; the handlers and the digest read the result."""
+    """Read, decode and check each input flag once; the handlers read the result."""
     for key in _PATTERN_FLAGS:
         text = getattr(args, key, None)
         if text is not None:  # inline JSON or an @file
@@ -143,6 +143,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _file_key(args) -> dict:
+    """The digest's name for the --file hypergraph: the sha256 of its content."""
+    import hashlib
+
+    return {"file": hashlib.sha256(args.file[0]).hexdigest()}
+
+
 def _sigma_arg(args) -> SigmaHypergraph:
     """The class-structured hypergraph given by --sigma and --Sigma."""
     from .hypergraph import SigmaHypergraph
@@ -153,24 +160,28 @@ def _sigma_arg(args) -> SigmaHypergraph:
     return SigmaHypergraph(n, r, q, PatternSet.of(r, args.Sigma))
 
 
-def _cmd_partitions(args) -> tuple[dict, bool]:
+# Each handler returns its payload, whether a verdict stayed unknown, and the
+# inputs its computation read, in canonical form: the catalogue digests these
+# with the command name, so a flag the computation never reads cannot split it.
+def _cmd_partitions(args) -> tuple[dict, bool, dict]:
     ps = enumerate_partitions(args.r)
-    return {"r": args.r, "count": len(ps), "partitions": ps.to_json()}, False
+    return {"r": args.r, "count": len(ps), "partitions": ps.to_json()}, False, {"r": args.r}
 
 
-def _cmd_closure(args) -> tuple[dict, bool]:
+def _cmd_closure(args) -> tuple[dict, bool, dict]:
     if (args.rd is None) == (args.ex is None):
         raise ValueError("give exactly one of --rd or --ex")
     which = "rd" if args.rd is not None else "ex"
     seed = PatternSet.of(args.r, args.rd if which == "rd" else args.ex)
     closed = rd_closure(seed) if which == "rd" else ex_closure(seed)
-    return {"r": args.r, "closure": which, "input": seed.to_json(), "result": closed.to_json()}, False
+    payload = {"r": args.r, "closure": which, "input": seed.to_json(), "result": closed.to_json()}
+    return payload, False, {"r": args.r, which: seed.to_json()}
 
 
-def _cmd_classify(args) -> tuple[dict, bool]:
+def _cmd_classify(args) -> tuple[dict, bool, dict]:
     q = PatternSet.of(args.r, args.Q)
     report = classify_robust(q)
-    return {"r": args.r, "Q": q.to_json(), **report.to_json()}, False
+    return {"r": args.r, "Q": q.to_json(), **report.to_json()}, False, {"r": args.r, "Q": q.to_json()}
 
 
 # The flags each build kind needs, then the ones it may take (argparse destinations).
@@ -183,17 +194,18 @@ _BUILD_FLAGS = {
 }
 
 
-def _cmd_build(args) -> tuple[dict, bool]:
+def _cmd_build(args) -> tuple[dict, bool, dict]:
     needs, takes = _BUILD_FLAGS[args.kind]
     missing = [f"--{name.replace('_', '-')}" for name in needs if getattr(args, name) is None]
     if missing:
         raise ValueError(f"build --kind {args.kind} needs {', '.join(missing)}")
     ignored = [name for pair in _BUILD_FLAGS.values() for name in pair[0] + pair[1] if name not in needs + takes]
     _refuse(args, f"build --kind {args.kind}", ignored)
+    # The flags the kind reads, as given; the pattern flags as built, below.
+    inputs = {"kind": args.kind, **{n: getattr(args, n) for n in needs + takes if getattr(args, n) is not None}}
     if args.kind == "family":
-        params = {name: getattr(args, name) for name in takes if getattr(args, name) is not None}
-        fam = build_family(args.family, args.r, **params)
-        return {"r": args.r, "family": args.family, "patterns": fam.to_json()}, False
+        fam = build_family(args.family, args.r, **{name: inputs[name] for name in takes if name in inputs})
+        return {"r": args.r, "family": args.family, "patterns": fam.to_json()}, False, inputs
     from .hypergraph import build_complete, build_grid, build_ramsey, build_sigma_explicit, write_hypergraph
 
     if args.kind == "complete":
@@ -204,8 +216,10 @@ def _cmd_build(args) -> tuple[dict, bool]:
         rp = PatternSet.of(args.r, args.row_patterns)
         cp = PatternSet.of(args.r, args.col_patterns)
         h = build_grid(args.rows, args.cols, args.cell_size, rp, cp, args.r, edge_cap=args.edge_cap)
+        inputs.update(row_patterns=rp.to_json(), col_patterns=cp.to_json())
     else:  # sigma
         s = _sigma_arg(args)
+        inputs["Sigma"] = s.edge_types.to_json()
         if not args.explicit:
             _refuse(args, "build --kind sigma without --explicit", ["out"])
             return {
@@ -213,86 +227,88 @@ def _cmd_build(args) -> tuple[dict, bool]:
                 **s.key(),
                 "vertices": s.vertex_count,
                 "unrealizable_types": s.unrealizable_types().to_json(),
-            }, False
+            }, False, inputs
         h = build_sigma_explicit(s, edge_cap=args.edge_cap)
     if args.out:
         write_hypergraph(h, args.out)
-        return {"written": args.out, "r": h.r, "vertices": h.vertex_count, "edges": len(h.edges)}, False
-    return h.to_json_dict(), False
+        return {"written": args.out, "r": h.r, "vertices": h.vertex_count, "edges": len(h.edges)}, False, inputs
+    return h.to_json_dict(), False, inputs
 
 
-def _cmd_spectrum(args) -> tuple[dict, bool]:
+def _cmd_spectrum(args) -> tuple[dict, bool, dict]:
     if args.file or args.explicit:
         from .colouring import spectrum
         from .hypergraph import build_sigma_explicit, parse_hypergraph
 
-        h = parse_hypergraph(*args.file) if args.file else build_sigma_explicit(_sigma_arg(args), edge_cap=args.edge_cap)
+        if args.file:
+            h, inputs = parse_hypergraph(*args.file), _file_key(args)
+        else:
+            s = _sigma_arg(args)
+            h, inputs = build_sigma_explicit(s, edge_cap=args.edge_cap), {**s.key(), "explicit": True}
         q = PatternSet.of(h.r, args.Q)
         spec = spectrum(h, q, k_max=args.k_max, budget_s=args.budget_s)
     else:
         from .sigma_engine import sigma_spectrum
 
         s = _sigma_arg(args)
-        q = PatternSet.of(s.r, args.Q)
+        q, inputs = PatternSet.of(s.r, args.Q), s.key()
         spec = sigma_spectrum(s, q, k_max=args.k_max, budget_s=args.budget_s)
-    return spec.to_json_dict(), bool(spec.unknown)
+    inputs.update(Q=q.to_json(), k_max=spec.probed_max, budget_s=args.budget_s)
+    return spec.to_json_dict(), bool(spec.unknown), inputs
 
 
-def _cmd_clique(args) -> tuple[dict, bool]:
+def _cmd_clique(args) -> tuple[dict, bool, dict]:
     from .clique import brute_force_clique, omega_sigma
     from .hypergraph import parse_hypergraph
 
-    if args.file:
-        h = parse_hypergraph(*args.file)
-        omega = brute_force_clique(h, vertex_cap=args.vertex_cap)
-        return {"method": "brute-force", "omega": omega}, False
-    result = omega_sigma(_sigma_arg(args))
-    return {"method": "k-full", **result.to_json_dict()}, False
+    if args.file:  # the vertex cap can only refuse the run, and a refused run is not catalogued
+        omega = brute_force_clique(parse_hypergraph(*args.file), vertex_cap=args.vertex_cap)
+        return {"method": "brute-force", "omega": omega}, False, _file_key(args)
+    s = _sigma_arg(args)
+    return {"method": "k-full", **omega_sigma(s).to_json_dict()}, False, s.key()
 
 
-def _cmd_tight(args) -> tuple[dict, bool]:
+def _cmd_tight(args) -> tuple[dict, bool, dict]:
     from .analysis import check_tight
 
-    args.Q = args.Sigma if args.Q is None else args.Q  # the digest counts the default as given
     s = _sigma_arg(args)
-    report = check_tight(s, PatternSet.of(s.r, args.Q), budget_s=args.budget_s)
-    return report.to_json_dict(), report.verdict is None
+    q = PatternSet.of(s.r, args.Sigma if args.Q is None else args.Q)
+    report = check_tight(s, q, budget_s=args.budget_s)
+    return report.to_json_dict(), report.verdict is None, {**s.key(), "Q": q.to_json(), "budget_s": args.budget_s}
 
 
-def _cmd_gaps(args) -> tuple[dict, bool]:
+def _cmd_gaps(args) -> tuple[dict, bool, dict]:
     from .analysis import gap_witness_search
 
     q = PatternSet.of(args.r, args.Q)
     sigma_sets = None if args.Sigma is None else [PatternSet.of(args.r, [p]) for p in args.Sigma]
-    report = gap_witness_search(
-        args.r,
-        q,
-        range(args.n_min, args.n_max + 1),
-        range(args.q_min, args.q_max + 1),
-        sigma_sets=sigma_sets,
-        k_max=args.k_max,
-        budget_s=args.budget_s,
-    )
-    return report.to_json_dict(), bool(report.unresolved)
+    n_range, q_range = range(args.n_min, args.n_max + 1), range(args.q_min, args.q_max + 1)
+    report = gap_witness_search(args.r, q, n_range, q_range, sigma_sets, k_max=args.k_max, budget_s=args.budget_s)
+    # A k_max at or above the largest vertex count, n_max * q_max, caps no spectrum of the grid.
+    k_max = None if args.k_max is None or args.k_max >= args.n_max * args.q_max else args.k_max
+    grid = {"n": [args.n_min, args.n_max], "q": [args.q_min, args.q_max], "Sigma": args.Sigma}
+    inputs = {"r": args.r, "Q": q.to_json(), **grid, "k_max": k_max, "budget_s": args.budget_s}
+    return report.to_json_dict(), bool(report.unresolved), inputs
 
 
-def _cmd_ramsey(args) -> tuple[dict, bool]:
+def _cmd_ramsey(args) -> tuple[dict, bool, dict]:
     from math import comb
 
     from .analysis import ramsey_check
 
     q = PatternSet.of(comb(args.p, args.r), args.Q)
     report = ramsey_check(args.n, args.r, args.p, args.k, q, budget_s=args.budget_s)
-    return report.to_json_dict(), report.colourable is None
+    inputs = {"n": args.n, "r": args.r, "p": args.p, "k": args.k, "Q": q.to_json(), "budget_s": args.budget_s}
+    return report.to_json_dict(), report.colourable is None, inputs
 
 
-def _cmd_verify(args) -> tuple[dict, bool]:
+def _cmd_verify(args) -> tuple[dict, bool, dict]:
     from .analysis import LEMMA_BUDGET_S, verify_lemma_constructions
 
-    if args.budget_s is None:  # the digest records the budget the suite ran under
-        args.budget_s = LEMMA_BUDGET_S
-    payload = verify_lemma_constructions(args.r, budget_s=args.budget_s)
-    return payload, any(rep["verdict"] == "unknown" for rep in payload["reports"])
+    budget_s = LEMMA_BUDGET_S if args.budget_s is None else args.budget_s
+    payload = verify_lemma_constructions(args.r, budget_s=budget_s)
+    inputs = {"suite": args.suite, "r": args.r, "budget_s": budget_s}
+    return payload, any(rep["verdict"] == "unknown" for rep in payload["reports"]), inputs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -396,41 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The commands whose result a time budget can change.
-_SEARCH_COMMANDS = ("spectrum", "tight", "gaps", "ramsey", "verify")
-
-
-def _canonical_inputs(args) -> dict:
-    """The inputs of a run in canonical form, so the digest names the computation, not its spelling.
-
-    Pattern flags become sorted pattern sets (the type list of ``gaps
-    --Sigma`` keeps its order, which orders the report), ``--sigma`` counts
-    as (n, r, q), ``--file`` and ``@file`` inputs count by content, the
-    effective budget counts only for the commands that search, and the edge
-    cap (a run above it fails before it is catalogued) and the config and
-    catalogue paths are left out.
-    """
-    skip = ("handler", "config", "catalog_path", "budget_s", "edge_cap")
-    inputs = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    for key in _PATTERN_FLAGS:
-        if key in inputs and (args.command, key) != ("gaps", "Sigma"):
-            inputs[key] = sorted(set(inputs[key]))
-    if "file" in inputs:
-        import hashlib
-
-        inputs["file"] = hashlib.sha256(inputs["file"][0]).hexdigest()
-    if args.command in _SEARCH_COMMANDS:
-        inputs["budget_s"] = args.budget_s
-    return inputs
-
-
-def _catalogue(args, payload: dict, wall_time_s: float) -> None:
+def _catalogue(args, payload: dict, inputs: dict, wall_time_s: float) -> None:
     if not args.catalog_path:
         return
     from .catalog import CatalogEntry, catalog_append, digest_inputs
 
     entry = CatalogEntry(
-        input_digest=digest_inputs(_canonical_inputs(args)),
+        input_digest=digest_inputs({"command": args.command, **inputs}),
         result=payload,
         engine_version=__version__,
         wall_time_s=round(wall_time_s, 6),
@@ -446,9 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         _load_config(args)
         start = time.perf_counter()
         _read_inputs(args)
-        payload, has_unknown = args.handler(args)
+        payload, has_unknown, inputs = args.handler(args)
         _emit(payload)
-        _catalogue(args, payload, time.perf_counter() - start)
+        _catalogue(args, payload, inputs, time.perf_counter() - start)
     except (ValueError, OSError) as exc:  # the cap exceptions are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -294,10 +294,17 @@ def build_family(kind: str, r: int, **params: int) -> PatternSet:
       [a, b]; requires s, t, a, b.
     - ``conflict-free``: patterns whose smallest part is 1 (some vertex is
       uniquely coloured in the edge).
+
+    A parameter that the kind does not read raises ValueError.
     """
     if r < 1:
         raise ValueError("r must be positive")
     kind = kind.lower()
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+    reads = {"alpha-beta": ("alpha", "beta"), "stably-bounded": ("s", "t", "a", "b")}.get(kind, ())
+    if unread := [name for name in params if name not in reads]:
+        raise ValueError(f"family {kind!r} takes no parameter {', '.join(unread)}")
     universe = enumerate_partitions(r)
     m, rb = monochromatic(r), rainbow(r)
 
@@ -325,6 +332,4 @@ def build_family(kind: str, r: int, **params: int) -> PatternSet:
         s, t = bounded(kind, "s", "t")
         a, b = bounded(kind, "a", "b")
         return PatternSet(r, frozenset(p for p in universe if s <= len(p) <= t and a <= p[0] <= b))
-    if kind == "conflict-free":
-        return PatternSet(r, frozenset(p for p in universe if p[-1] == 1))
-    raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+    return PatternSet(r, frozenset(p for p in universe if p[-1] == 1))  # conflict-free

@@ -336,11 +336,35 @@ class TestCliContracts:
                 True,
             ),
             (["verify", "--suite", "lemmas", "--r", "3"], ["--budget", "600"], True),
+            (["clique", "--sigma", "n=3,r=3,q=2", "--Sigma", "[[2,1]]"], ["--vertex-cap", "5"], True),
+            (["clique", "--file", "h.json"], ["--vertex-cap", "41"], True),
+            (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--k-max", "4"], True),
+            (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--k-max", "3"], False),
+            (
+                ["gaps", "--r", "3", "--Q", "[[2,1]]", "--n-max", "4", "--q-max", "2", "--Sigma", "[[2,1],[1,1,1]]"],
+                ["--Sigma", "[[1,1,1],[2,1]]"],  # the later --Sigma wins: the same types in the other order
+                False,
+            ),
+            (["gaps", "--r", "3", "--Q", "[[2,1]]", "--n-max", "4", "--q-max", "2"], ["--k-max", "8"], True),
         ],
-        ids=["spectrum-budget", "ramsey-edge-cap", "verify-default-budget"],
+        ids=[
+            "spectrum-budget",
+            "ramsey-edge-cap",
+            "verify-default-budget",
+            "clique-sigma-vertex-cap",
+            "clique-file-vertex-cap",
+            "spectrum-k-max-vertex-count",
+            "spectrum-k-max-below",
+            "gaps-Sigma-order",
+            "gaps-k-max-largest-vertex-count",
+        ],
     )
-    def test_catalogue_digest_counts_only_what_shapes_the_result(self, capsys, tmp_path, argv, flag, same):
-        """A search's effective budget is part of its digest; the edge cap, which never shapes a catalogued result, is not."""
+    def test_catalogue_digest_counts_only_what_shapes_the_result(self, capsys, tmp_path, monkeypatch, argv, flag, same):
+        """The digest counts what the computation read, such as the effective budget and k_max and the order of
+        gaps' type list; not the edge cap or the vertex cap, which can only refuse a run, and a refused run is
+        not catalogued."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.json").write_text('{"r": 3, "vertices": 4, "edges": [[0, 1, 2]]}')
         cat = tmp_path / "cat.ndjson"
         for extra in ([], flag):
             assert run(capsys, *argv, *extra, "--catalog", str(cat))[0] == 0
@@ -483,6 +507,9 @@ class TestCliContracts:
             ["build", "--kind", "complete", "--n", "4", "--r", "3", "--explicit"],
             ["build", "--kind", "family", "--r", "3", "--family", "classical", "--out", "f.json"],
             ["build", "--kind", "sigma", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--out", "s.json"],
+            ["build", "--kind", "family", "--r", "3", "--family", "classical", "--alpha", "2"],
+            # A type set listed twice would be scanned and reported twice.
+            ["gaps", "--r", "3", "--Q", "[[2,1]]", "--n-max", "4", "--q-max", "2", "--Sigma", "[[2,1],[2,1]]"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):

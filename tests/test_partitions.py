@@ -276,6 +276,18 @@ class TestFamilies:
         with pytest.raises(ValueError):
             build_family("alpha-beta", 4)
 
+    @pytest.mark.parametrize(
+        "kind,params,unread",
+        [
+            ("classical", {"alpha": 2}, "alpha"),
+            ("alpha-beta", {"alpha": 2, "beta": 3, "s": 1}, "s"),
+            ("stably-bounded", {"s": 2, "t": 3, "a": 2, "b": 3, "beta": 3}, "beta"),
+        ],
+    )
+    def test_parameters_the_kind_does_not_read_rejected(self, kind, params, unread):
+        with pytest.raises(ValueError, match=f"family {kind!r} takes no parameter {unread}$"):
+            build_family(kind, 4, **params)
+
 
 class TestPatternSet:
     def test_duplicate_and_sum_validation(self):
