@@ -495,7 +495,7 @@ class TestCliContracts:
             ["spectrum", "--Q", "[[2,1]]"],
             ["spectrum", "--sigma", "n=²,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"],
             ["classify", "--r", "3", "--Q", "[[1.5,1.5]]"],
-            # Flags the command would ignore, which would split the catalogue digest (h.json is a valid file).
+            # Flags the command would ignore, which would pass unnoticed (h.json is a valid file).
             ["spectrum", "--file", "h.json", "--Q", "[[2,1]]", "--explicit"],
             ["spectrum", "--file", "h.json", "--Q", "[[2,1]]", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]"],
             ["clique", "--file", "h.json", "--sigma", "n=2,r=3,q=2"],
