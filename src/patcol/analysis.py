@@ -382,6 +382,8 @@ def gap_witness_search(
 
     if allowed.r != r:
         raise ValueError(f"pattern set is over r={allowed.r}, expected {r}")
+    if k_max is not None and k_max < 1:  # larger values are capped at each point's vertex count
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     ns, qs = sorted(set(n_range)), sorted(set(q_range))
     sets = list(sigma_sets) if sigma_sets is not None else list(_subsets_smallest_first(r))
     for values, what in (

@@ -7,10 +7,11 @@ computation completed, 2 on invalid input, 3 when some verdict stayed
 
 Pattern-set flags accept inline JSON (e.g. ``--Q "[[3,1]]"``) or ``@file``
 references; class-structured hypergraphs are given by parameters
-(``--sigma "n=3,r=4,q=3"``) and are only materialised under ``--explicit``.
+(``--sigma "n=3,r=4,q=3"``) and are only materialised by ``build --kind sigma
+--explicit``.
 Configuration precedence: flags override environment variables (PATCOL_*),
 which override the optional JSON config file, which overrides defaults.
-Each input is read, decoded and checked once, before the command runs; JSON
+Each input is read, decoded and checked once, before the computation; JSON
 that cannot be decoded (malformed, not UTF-8, nested too deep) is an error
 naming its flag or file.
 """
@@ -40,7 +41,7 @@ from .partitions import (
 # imported inside the handlers that run them, and the catalogue only under
 # --catalog, so a cold process pays only for the modules its command needs.
 if TYPE_CHECKING:
-    from .hypergraph import SigmaHypergraph
+    from .hypergraph import Hypergraph, SigmaHypergraph
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -64,7 +65,9 @@ _CONFIG_KEYS = {
         None,
     ),
     "edge_cap": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1", "EDGE_CAP", int, 10**7),
-    "catalog_path": (lambda v: v is None or isinstance(v, str), "a string or null", "CATALOG", str, None),
+    "catalog_path": (
+        lambda v: v is None or isinstance(v, str) and v != "", "a non-empty string or null", "CATALOG", str, None
+    ),
 }
 
 
@@ -74,7 +77,8 @@ def _read(path: str) -> bytes:
 
 
 def _load_config(args: argparse.Namespace) -> None:
-    """Set each config key on ``args``: flag over environment over config file over default."""
+    """Set each config key on ``args`` (a flag only where its command reads it): flag over environment over
+    config file over default."""
     path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     data = load_json(_read(path), path) if path else {}
     if not isinstance(data, dict):
@@ -87,8 +91,8 @@ def _load_config(args: argparse.Namespace) -> None:
                 given.append((read(text), ENV_PREFIX + env))
             except ValueError:
                 given.append((text, ENV_PREFIX + env))
-        if getattr(args, key) is not None:
-            given.append((getattr(args, key), "--" + env.lower().replace("_", "-")))
+        if (flag := getattr(args, key, None)) is not None:
+            given.append((flag, "--" + env.lower().replace("_", "-")))
         for value, source in given:
             if isinstance(value, bool) or not ok(value):
                 shown = json.dumps(value)  # an excerpt: a rejected value can be any JSON, however long
@@ -123,7 +127,7 @@ def _refuse(args, where: str, names) -> None:
 
 
 def _read_inputs(args: argparse.Namespace) -> None:
-    """Read, decode and check each input flag once; the handlers read the result."""
+    """Read, decode and check each pattern flag once; the handlers read the result."""
     for key in _PATTERN_FLAGS:
         text = getattr(args, key, None)
         if text is not None:  # inline JSON or an @file
@@ -132,32 +136,29 @@ def _read_inputs(args: argparse.Namespace) -> None:
             if not isinstance(data, list):
                 raise ValueError(f"expected a JSON array of partitions, got {text!r}")
             setattr(args, key, [as_partition(p) for p in data])
-    if getattr(args, "sigma", None) is not None:
-        args.sigma = _sigma_params(args.sigma)
-    if getattr(args, "file", None) is not None:
-        _refuse(args, f"{args.command} --file", ["sigma", "Sigma", "explicit"])
-        args.file = (_read(args.file), args.file)  # the arguments of hypergraph.parse_hypergraph
 
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _file_key(args) -> dict:
-    """The digest's name for the --file hypergraph: the sha256 of its content."""
-    import hashlib
+def _structure(args) -> tuple[Hypergraph | SigmaHypergraph, dict]:
+    """The hypergraph given by --file (named by the sha256 of its content), or by --sigma with --Sigma, and its name."""
+    if getattr(args, "file", None) is not None:
+        import hashlib
 
-    return {"file": hashlib.sha256(args.file[0]).hexdigest()}
+        from .hypergraph import parse_hypergraph
 
-
-def _sigma_arg(args) -> SigmaHypergraph:
-    """The class-structured hypergraph given by --sigma and --Sigma."""
+        _refuse(args, f"{args.command} --file", ["sigma", "Sigma"])
+        raw = _read(args.file)
+        return parse_hypergraph(raw, args.file), {"file": hashlib.sha256(raw).hexdigest()}
     from .hypergraph import SigmaHypergraph
 
     if args.sigma is None or args.Sigma is None:
         raise ValueError("give --file, or --sigma n=..,r=..,q=.. with --Sigma")
-    n, r, q = args.sigma
-    return SigmaHypergraph(n, r, q, PatternSet.of(r, args.Sigma))
+    n, r, q = _sigma_params(args.sigma)
+    s = SigmaHypergraph(n, r, q, PatternSet.of(r, args.Sigma))
+    return s, s.key()
 
 
 # Each handler returns its payload, whether a verdict stayed unknown, and the
@@ -201,6 +202,8 @@ def _cmd_build(args) -> tuple[dict, bool, dict]:
         raise ValueError(f"build --kind {args.kind} needs {', '.join(missing)}")
     ignored = [name for pair in _BUILD_FLAGS.values() for name in pair[0] + pair[1] if name not in needs + takes]
     _refuse(args, f"build --kind {args.kind}", ignored)
+    if args.out == "":
+        raise ValueError("--out must be a non-empty path")
     # The flags the kind reads, as given; the pattern flags as built, below.
     inputs = {"kind": args.kind, **{n: getattr(args, n) for n in needs + takes if getattr(args, n) is not None}}
     if args.kind == "family":
@@ -218,8 +221,8 @@ def _cmd_build(args) -> tuple[dict, bool, dict]:
         h = build_grid(args.rows, args.cols, args.cell_size, rp, cp, args.r, edge_cap=args.edge_cap)
         inputs.update(row_patterns=rp.to_json(), col_patterns=cp.to_json())
     else:  # sigma
-        s = _sigma_arg(args)
-        inputs["Sigma"] = s.edge_types.to_json()
+        s, _ = _structure(args)
+        inputs.update(sigma=[s.n, s.r, s.q], Sigma=s.edge_types.to_json())
         if not args.explicit:
             _refuse(args, "build --kind sigma without --explicit", ["out"])
             return {
@@ -236,45 +239,36 @@ def _cmd_build(args) -> tuple[dict, bool, dict]:
 
 
 def _cmd_spectrum(args) -> tuple[dict, bool, dict]:
-    if args.file or args.explicit:
+    h, inputs = _structure(args)
+    q = PatternSet.of(h.r, args.Q)
+    if args.file:  # the engine follows the input: explicit edges, or the distribution search
         from .colouring import spectrum
-        from .hypergraph import build_sigma_explicit, parse_hypergraph
-
-        if args.file:
-            h, inputs = parse_hypergraph(*args.file), _file_key(args)
-        else:
-            s = _sigma_arg(args)
-            h, inputs = build_sigma_explicit(s, edge_cap=args.edge_cap), {**s.key(), "explicit": True}
-        q = PatternSet.of(h.r, args.Q)
-        spec = spectrum(h, q, k_max=args.k_max, budget_s=args.budget_s)
     else:
-        from .sigma_engine import sigma_spectrum
-
-        s = _sigma_arg(args)
-        q, inputs = PatternSet.of(s.r, args.Q), s.key()
-        spec = sigma_spectrum(s, q, k_max=args.k_max, budget_s=args.budget_s)
+        from .sigma_engine import sigma_spectrum as spectrum
+    spec = spectrum(h, q, k_max=args.k_max, budget_s=args.budget_s)
     inputs.update(Q=q.to_json(), k_max=spec.probed_max, budget_s=args.budget_s)
     return spec.to_json_dict(), bool(spec.unknown), inputs
 
 
 def _cmd_clique(args) -> tuple[dict, bool, dict]:
     from .clique import brute_force_clique, omega_sigma
-    from .hypergraph import parse_hypergraph
 
-    if args.file:  # the vertex cap can only refuse the run, and a refused run is not catalogued
-        omega = brute_force_clique(parse_hypergraph(*args.file), vertex_cap=args.vertex_cap)
-        return {"method": "brute-force", "omega": omega}, False, _file_key(args)
-    s = _sigma_arg(args)
-    return {"method": "k-full", **omega_sigma(s).to_json_dict()}, False, s.key()
+    h, inputs = _structure(args)
+    if not args.file:
+        _refuse(args, "clique --sigma", ["vertex_cap"])
+        return {"method": "k-full", **omega_sigma(h).to_json_dict()}, False, inputs
+    # Without --vertex-cap the library's default applies; the cap can only refuse the run, which is not catalogued.
+    omega = brute_force_clique(h, **({} if args.vertex_cap is None else {"vertex_cap": args.vertex_cap}))
+    return {"method": "brute-force", "omega": omega}, False, inputs
 
 
 def _cmd_tight(args) -> tuple[dict, bool, dict]:
     from .analysis import check_tight
 
-    s = _sigma_arg(args)
+    s, inputs = _structure(args)
     q = PatternSet.of(s.r, args.Sigma if args.Q is None else args.Q)
     report = check_tight(s, q, budget_s=args.budget_s)
-    return report.to_json_dict(), report.verdict is None, {**s.key(), "Q": q.to_json(), "budget_s": args.budget_s}
+    return report.to_json_dict(), report.verdict is None, {**inputs, "Q": q.to_json(), "budget_s": args.budget_s}
 
 
 def _cmd_gaps(args) -> tuple[dict, bool, dict]:
@@ -321,9 +315,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--budget", type=float, dest="budget_s", help="time budget per search, seconds")
-    common.add_argument("--edge-cap", type=int, dest="edge_cap", help="explicit edge cap")
     common.add_argument("--catalog", dest="catalog_path", help="append results to this catalogue file")
+    search = argparse.ArgumentParser(add_help=False, parents=[common])  # the commands that run a search
+    search.add_argument("--budget", type=float, dest="budget_s", help="time budget per search, seconds")
 
     parser = _Parser(prog="patcol", description=__doc__)
     parser.add_argument("--version", action="version", version=f"patcol {__version__}")
@@ -361,31 +355,31 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _BUILD_FLAGS["family"][1]:
         p.add_argument(f"--{name}", type=int)
     p.add_argument("--out", help="write hypergraph JSON here instead of stdout")
+    p.add_argument("--edge-cap", type=int, dest="edge_cap", help="explicit edge cap")
     p.set_defaults(handler=_cmd_build)
 
-    p = sub.add_parser("spectrum", parents=[common], help="feasible colour counts and gaps")
+    p = sub.add_parser("spectrum", parents=[search], help="feasible colour counts and gaps")
     p.add_argument("--file", help="explicit hypergraph JSON file")
     p.add_argument("--sigma", help="structure parameters n=..,r=..,q=..")
     p.add_argument("--Sigma", help="allowed edge types")
     p.add_argument("--Q", required=True, help="allowed colour patterns")
     p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--explicit", action="store_true", help="run the explicit engine on the materialised edges")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("clique", parents=[common], help="clique number")
     p.add_argument("--file", help="explicit hypergraph JSON file (brute force)")
     p.add_argument("--sigma", help="structure parameters n=..,r=..,q=..")
     p.add_argument("--Sigma", help="allowed edge types")
-    p.add_argument("--vertex-cap", type=int, dest="vertex_cap", default=40)
+    p.add_argument("--vertex-cap", type=int, dest="vertex_cap", help="brute-force vertex cap (--file only)")
     p.set_defaults(handler=_cmd_clique)
 
-    p = sub.add_parser("tight", parents=[common], help="tight colourability report")
+    p = sub.add_parser("tight", parents=[search], help="tight colourability report")
     p.add_argument("--sigma", required=True, help="structure parameters n=..,r=..,q=..")
     p.add_argument("--Sigma", required=True, help="allowed edge types")
     p.add_argument("--Q", help="allowed colour patterns (defaults to the edge types)")
     p.set_defaults(handler=_cmd_tight)
 
-    p = sub.add_parser("gaps", parents=[common], help="search a parameter grid for spectrum gaps")
+    p = sub.add_parser("gaps", parents=[search], help="search a parameter grid for spectrum gaps")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--Q", required=True)
     p.add_argument("--n-min", type=int, dest="n_min", default=1)
@@ -396,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, dest="k_max")
     p.set_defaults(handler=_cmd_gaps)
 
-    p = sub.add_parser("ramsey", parents=[common], help="bundle-hypergraph colourability check")
+    p = sub.add_parser("ramsey", parents=[search], help="bundle-hypergraph colourability check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
@@ -404,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", required=True)
     p.set_defaults(handler=_cmd_ramsey)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[search], help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["lemmas"])
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(handler=_cmd_verify)

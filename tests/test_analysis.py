@@ -412,6 +412,11 @@ class TestGapSearch:
         with pytest.raises(ValueError):
             gap_witness_search(3, pset(4, (3, 1)), [2], [2])
 
+    def test_k_max_below_one_rejected(self):
+        # Named as k_max, not as a range bounded by the first point's vertex count.
+        with pytest.raises(ValueError, match=r"^k_max must be >= 1, got 0$"):
+            gap_witness_search(3, pset(3, (2, 1)), [1, 2], [1, 2], k_max=0)
+
     def test_r4_three_one_grid_has_no_gap(self):
         # The paper's closing result at r=4, Q={(3,1)}: no Sigma-hypergraph
         # has a gap.  All 31 type sets on n, q <= 6, each point decided in 5 s.

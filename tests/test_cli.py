@@ -133,11 +133,14 @@ class TestSpectrumCommand:
         code, data = run(capsys, "spectrum", "--file", out, "--Q", "[[2,1],[1,1,1]]", "--k-max", "4")
         assert code == 0 and data["feasible"] == [2, 3, 4]
 
-    def test_explicit_engine_prints_the_same(self, capsys):
-        argv = ["spectrum", "--sigma", "n=3,r=4,q=3", "--Sigma", "[[3,1]]", "--Q", "[[3,1]]"]
-        assert main(argv) == 0
+    def test_explicit_engine_prints_the_same(self, capsys, tmp_path):
+        structure = ["--sigma", "n=3,r=4,q=3", "--Sigma", "[[3,1]]"]
+        assert main(["spectrum", *structure, "--Q", "[[3,1]]"]) == 0
         by_distribution = capsys.readouterr().out
-        assert main(argv + ["--explicit"]) == 0
+        out = str(tmp_path / "h.json")
+        assert main(["build", "--kind", "sigma", *structure, "--explicit", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["spectrum", "--file", out, "--Q", "[[3,1]]"]) == 0
         assert capsys.readouterr().out == by_distribution
 
     def test_unknowns_exit_3(self, capsys):
@@ -319,10 +322,12 @@ class TestCliContracts:
             base + ["[[1,2]]"],
             base + ["[[2,1]]", "--catalog", str(other)],
             base + ["[[2,1]]", "--config", str(cfg)],
-            base + ["[[2,1]]", "--budget", "5"],
-            base + ["[[2,1]]", "--edge-cap", "5"],
         ):
             assert run(capsys, *argv)[0] == 0
+        # Ambient settings reach every command; one it does not read must not split the digest.
+        for name in ("PATCOL_BUDGET", "PATCOL_EDGE_CAP"):
+            monkeypatch.setenv(name, "5")
+            assert run(capsys, *base, "[[2,1]]")[0] == 0
         records = [json.loads(line) for path in (cat, other) for line in path.read_text().splitlines()]
         assert len(records) == 7 and len({rec["input_digest"] for rec in records}) == 1
 
@@ -330,13 +335,7 @@ class TestCliContracts:
         "argv,flag,same",
         [
             (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--budget", "5"], False),
-            (
-                ["ramsey", "--n", "5", "--r", "2", "--p", "3", "--k", "2", "--Q", "[[2,1],[1,1,1]]"],
-                ["--edge-cap", "5"],
-                True,
-            ),
             (["verify", "--suite", "lemmas", "--r", "3"], ["--budget", "600"], True),
-            (["clique", "--sigma", "n=3,r=3,q=2", "--Sigma", "[[2,1]]"], ["--vertex-cap", "5"], True),
             (["clique", "--file", "h.json"], ["--vertex-cap", "41"], True),
             (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--k-max", "4"], True),
             (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--k-max", "3"], False),
@@ -349,9 +348,7 @@ class TestCliContracts:
         ],
         ids=[
             "spectrum-budget",
-            "ramsey-edge-cap",
             "verify-default-budget",
-            "clique-sigma-vertex-cap",
             "clique-file-vertex-cap",
             "spectrum-k-max-vertex-count",
             "spectrum-k-max-below",
@@ -361,8 +358,7 @@ class TestCliContracts:
     )
     def test_catalogue_digest_counts_only_what_shapes_the_result(self, capsys, tmp_path, monkeypatch, argv, flag, same):
         """The digest counts what the computation read, such as the effective budget and k_max and the order of
-        gaps' type list; not the edge cap or the vertex cap, which can only refuse a run, and a refused run is
-        not catalogued."""
+        gaps' type list; not the vertex cap, which can only refuse a run, and a refused run is not catalogued."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "h.json").write_text('{"r": 3, "vertices": 4, "edges": [[0, 1, 2]]}')
         cat = tmp_path / "cat.ndjson"
@@ -391,16 +387,11 @@ class TestCliContracts:
         assert digests[0] == digests[1] != digests[2]
 
     def test_cli_defaults_match_the_library(self):
-        # The CLI keeps its own copies so that its cold path imports no engine.
-        from inspect import signature
-
-        from patcol.cli import _CONFIG_KEYS, build_parser
-        from patcol.clique import brute_force_clique
+        # The CLI keeps its own copy so that its cold path imports no engine.
+        from patcol.cli import _CONFIG_KEYS
         from patcol.hypergraph import DEFAULT_EDGE_CAP
 
         assert _CONFIG_KEYS["edge_cap"][-1] == DEFAULT_EDGE_CAP
-        vertex_cap = build_parser().parse_args(["clique"]).vertex_cap
-        assert vertex_cap == signature(brute_force_clique).parameters["vertex_cap"].default
 
     def test_config_not_an_object_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -422,6 +413,7 @@ class TestCliContracts:
             ("budget_s", float("inf")),
             pytest.param("budget_s", 10**400, id="budget_s-int-beyond-float"),
             ("edge_cap", 0),
+            ("catalog_path", ""),
             # Quoted as a short excerpt, not as its 1,000 characters.  (985 deep, as
             # seen from the command line, is past the decoder's room under pytest.)
             pytest.param("budget_s", json.loads("[" * 500 + "]" * 500), id="budget_s-nested-500"),
@@ -444,17 +436,21 @@ class TestCliContracts:
             ("--budget", "nan"),
             ("--budget", "inf"),
             ("--edge-cap", "0"),
+            ("--catalog", ""),
             ("PATCOL_BUDGET", "nan"),
             ("PATCOL_BUDGET", "-1"),
             ("PATCOL_BUDGET", "abc"),
             pytest.param("PATCOL_BUDGET", "1" + "0" * 400, id="PATCOL_BUDGET-beyond-float"),
             ("PATCOL_EDGE_CAP", "0"),
             ("PATCOL_EDGE_CAP", "2.5"),
+            ("PATCOL_CATALOG", ""),
         ],
     )
     def test_bad_flag_and_env_values_exit_2(self, capsys, monkeypatch, name, value):
-        # Flags and environment variables pass the config file's checks.
+        # Flags and environment variables pass the config file's checks; --edge-cap is a build flag.
         argv = ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"]
+        if name == "--edge-cap":
+            argv = ["build", "--kind", "complete", "--n", "4", "--r", "3"]
         if name.startswith("--"):
             argv += [name, value]
         else:
@@ -510,6 +506,15 @@ class TestCliContracts:
             ["build", "--kind", "family", "--r", "3", "--family", "classical", "--alpha", "2"],
             # A type set listed twice would be scanned and reported twice.
             ["gaps", "--r", "3", "--Q", "[[2,1]]", "--n-max", "4", "--q-max", "2", "--Sigma", "[[2,1],[2,1]]"],
+            # Flags that only other commands read: argparse refuses them, and clique refuses a cap it would ignore.
+            ["partitions", "--r", "3", "--budget", "5"],
+            ["classify", "--r", "3", "--Q", "[[2,1]]", "--edge-cap", "5"],
+            ["ramsey", "--n", "5", "--r", "2", "--p", "3", "--k", "2", "--Q", "[[2,1],[1,1,1]]", "--edge-cap", "5"],
+            ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]", "--edge-cap", "5"],
+            ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]", "--explicit"],
+            ["clique", "--sigma", "n=3,r=3,q=2", "--Sigma", "[[2,1]]", "--vertex-cap", "5"],
+            # An empty path would read as no path at all.
+            ["build", "--kind", "complete", "--n", "4", "--r", "3", "--out", ""],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
