@@ -9,8 +9,6 @@ Pattern-set flags accept inline JSON (e.g. ``--Q "[[3,1]]"``) or ``@file``
 references; class-structured hypergraphs are given by parameters
 (``--sigma "n=3,r=4,q=3"``) and are only materialised by ``build --kind sigma
 --explicit``.
-Configuration precedence: flags override environment variables (PATCOL_*),
-which override the optional JSON config file, which overrides defaults.
 Each input is read, decoded and checked once, before the computation; JSON
 that cannot be decoded (malformed, not UTF-8, nested too deep) is an error
 naming its flag or file.
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -47,57 +44,21 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNKNOWN = 3
 
-ENV_PREFIX = "PATCOL_"
-
-
-# Each config key with the check its value must pass (bools never pass),
-# whether it comes from the config file, the environment or a flag; null
-# keeps the "none" default of budget_s and catalog_path.  Then the suffix of
-# the environment variable that sets the key (its flag is "--" and the suffix
-# in lower case, "_" written "-"; argparse stores the flag under the key), how
-# the variable's text is read, and the default.
-_CONFIG_KEYS = {
-    "budget_s": (
-        lambda v: v is None or isinstance(v, (int, float)) and 0 <= v <= sys.float_info.max,
-        "a finite number >= 0 or null",
-        "BUDGET",
-        float,
-        None,
-    ),
-    "edge_cap": (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1", "EDGE_CAP", int, 10**7),
-    "catalog_path": (
-        lambda v: v is None or isinstance(v, str) and v != "", "a non-empty string or null", "CATALOG", str, None
-    ),
-}
-
 
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
 
 
-def _load_config(args: argparse.Namespace) -> None:
-    """Set each config key on ``args`` (a flag only where its command reads it): flag over environment over
-    config file over default."""
-    path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
-    data = load_json(_read(path), path) if path else {}
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    for key, (ok, expected, env, read, default) in _CONFIG_KEYS.items():
-        given = [(data[key], f"{path}: config key {key!r}")] if key in data else []
-        if ENV_PREFIX + env in os.environ:
-            text = os.environ[ENV_PREFIX + env]
-            try:
-                given.append((read(text), ENV_PREFIX + env))
-            except ValueError:
-                given.append((text, ENV_PREFIX + env))
-        if (flag := getattr(args, key, None)) is not None:
-            given.append((flag, "--" + env.lower().replace("_", "-")))
-        for value, source in given:
-            if isinstance(value, bool) or not ok(value):
-                shown = json.dumps(value)  # an excerpt: a rejected value can be any JSON, however long
-                raise ValueError(f"{source} must be {expected}, got {shown if len(shown) <= 40 else shown[:39] + '…'}")
-        setattr(args, key, given[-1][0] if given else default)
+def _check_settings(args) -> None:
+    """Check the setting flags the command takes, where given; the handlers read them from ``args``."""
+    budget, cap = getattr(args, "budget_s", None), getattr(args, "edge_cap", None)
+    if budget is not None and not 0 <= budget <= sys.float_info.max:
+        raise ValueError(f"--budget must be a finite number >= 0, got {budget}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"--edge-cap must be an integer >= 1, got {cap}")
+    if args.catalog_path == "":
+        raise ValueError("--catalog must be a non-empty path")
 
 
 # The pattern-set flags (argparse destinations).
@@ -146,12 +107,18 @@ def _structure(args) -> tuple[Hypergraph | SigmaHypergraph, dict]:
     """The hypergraph given by --file (named by the sha256 of its content), or by --sigma with --Sigma, and its name."""
     if getattr(args, "file", None) is not None:
         import hashlib
+        import warnings
 
         from .hypergraph import parse_hypergraph
 
         _refuse(args, f"{args.command} --file", ["sigma", "Sigma"])
         raw = _read(args.file)
-        return parse_hypergraph(raw, args.file), {"file": hashlib.sha256(raw).hexdigest()}
+        with warnings.catch_warnings(record=True) as caught:  # one line each, like the catalogue's warnings
+            warnings.simplefilter("always")
+            h = parse_hypergraph(raw, args.file)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        return h, {"file": hashlib.sha256(raw).hexdigest()}
     from .hypergraph import SigmaHypergraph
 
     if args.sigma is None or args.Sigma is None:
@@ -207,31 +174,34 @@ def _cmd_build(args) -> tuple[dict, bool, dict]:
     # The flags the kind reads, as given; the pattern flags as built, below.
     inputs = {"kind": args.kind, **{n: getattr(args, n) for n in needs + takes if getattr(args, n) is not None}}
     if args.kind == "family":
+        _refuse(args, "build --kind family", ["edge_cap"])
         fam = build_family(args.family, args.r, **{name: inputs[name] for name in takes if name in inputs})
         return {"r": args.r, "family": args.family, "patterns": fam.to_json()}, False, inputs
     from .hypergraph import build_complete, build_grid, build_ramsey, build_sigma_explicit, write_hypergraph
 
+    # Without --edge-cap the library's default applies; the cap can only refuse the run, which is not catalogued.
+    cap = {} if args.edge_cap is None else {"edge_cap": args.edge_cap}
     if args.kind == "complete":
-        h = build_complete(args.n, args.r, edge_cap=args.edge_cap)
+        h = build_complete(args.n, args.r, **cap)
     elif args.kind == "ramsey":
-        h = build_ramsey(args.n, args.r, args.p, edge_cap=args.edge_cap)
+        h = build_ramsey(args.n, args.r, args.p, **cap)
     elif args.kind == "grid":
         rp = PatternSet.of(args.r, args.row_patterns)
         cp = PatternSet.of(args.r, args.col_patterns)
-        h = build_grid(args.rows, args.cols, args.cell_size, rp, cp, args.r, edge_cap=args.edge_cap)
+        h = build_grid(args.rows, args.cols, args.cell_size, rp, cp, args.r, **cap)
         inputs.update(row_patterns=rp.to_json(), col_patterns=cp.to_json())
     else:  # sigma
         s, _ = _structure(args)
         inputs.update(sigma=[s.n, s.r, s.q], Sigma=s.edge_types.to_json())
         if not args.explicit:
-            _refuse(args, "build --kind sigma without --explicit", ["out"])
+            _refuse(args, "build --kind sigma without --explicit", ["out", "edge_cap"])
             return {
                 "kind": "sigma",
                 **s.key(),
                 "vertices": s.vertex_count,
                 "unrealizable_types": s.unrealizable_types().to_json(),
             }, False, inputs
-        h = build_sigma_explicit(s, edge_cap=args.edge_cap)
+        h = build_sigma_explicit(s, **cap)
     if args.out:
         write_hypergraph(h, args.out)
         return {"written": args.out, "r": h.r, "vertices": h.vertex_count, "edges": len(h.edges)}, False, inputs
@@ -314,7 +284,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
     common.add_argument("--catalog", dest="catalog_path", help="append results to this catalogue file")
     search = argparse.ArgumentParser(add_help=False, parents=[common])  # the commands that run a search
     search.add_argument("--budget", type=float, dest="budget_s", help="time budget per search, seconds")
@@ -355,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _BUILD_FLAGS["family"][1]:
         p.add_argument(f"--{name}", type=int)
     p.add_argument("--out", help="write hypergraph JSON here instead of stdout")
-    p.add_argument("--edge-cap", type=int, dest="edge_cap", help="explicit edge cap")
+    p.add_argument("--edge-cap", type=int, dest="edge_cap", help="most edges to build (by default the library's cap)")
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("spectrum", parents=[search], help="feasible colour counts and gaps")
@@ -425,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _load_config(args)
+        _check_settings(args)
         start = time.perf_counter()
         _read_inputs(args)
         payload, has_unknown, inputs = args.handler(args)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ class TestDigest:
 
 
 def records(path) -> list[CatalogEntry]:
-    return [CatalogEntry.from_json_dict(json.loads(line)) for line in open(path).read().splitlines()]
+    return [CatalogEntry.from_json_dict(json.loads(line)) for line in Path(path).read_text().splitlines()]
 
 
 # A catalogue is queried by the scan in catalog_append: an append with the

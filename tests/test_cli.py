@@ -81,7 +81,7 @@ class TestBuildCommand:
         out = str(tmp_path / "h.json")
         code, data = run(capsys, "build", "--kind", "complete", "--n", "4", "--r", "3", "--out", out)
         assert code == 0 and data["edges"] == 4
-        written = json.load(open(out))
+        written = json.loads(Path(out).read_text())
         assert written["r"] == 3 and len(written["edges"]) == 4
 
     def test_sigma_parametric_description(self, capsys):
@@ -117,6 +117,12 @@ class TestBuildCommand:
     def test_invalid_arguments_exit_2(self, capsys):
         code, _ = run(capsys, "build", "--kind", "complete", "--n", "2", "--r", "3")
         assert code == 2
+
+    def test_library_edge_cap_applies_without_the_flag(self, capsys):
+        code = main(["build", "--kind", "complete", "--n", "200", "--r", "5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith("above the cap of 10000000\n") and err.count("\n") == 1
 
 
 class TestSpectrumCommand:
@@ -165,6 +171,14 @@ class TestCliqueCommand:
         run(capsys, "build", "--kind", "complete", "--n", "6", "--r", "3", "--out", out)
         code, data = run(capsys, "clique", "--file", out)
         assert code == 0 and data["omega"] == 6
+
+    def test_duplicate_edge_warns_in_one_line(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"r": 3, "vertices": 4, "edges": [[0, 1, 2], [2, 1, 0]]}')
+        code = main(["clique", "--file", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 0 and json.loads(out)["omega"] == 3
+        assert err == f"warning: {path}: dropped 1 duplicate edge(s)\n"
 
     def test_vertex_cap_exits_2_with_one_line(self, capsys, tmp_path):
         out = str(tmp_path / "h.json")
@@ -286,11 +300,10 @@ class TestCliContracts:
         code, data = run(capsys, "classify", "--r", "4", "--Q", f"@{qfile}")
         assert code == 0 and data["robust"] is False
 
-    def test_catalog_appends(self, capsys, tmp_path, monkeypatch):
+    def test_catalog_appends(self, capsys, tmp_path):
         cat = tmp_path / "cat.ndjson"
-        monkeypatch.setenv("PATCOL_CATALOG", str(cat))
-        run(capsys, "partitions", "--r", "4")
-        run(capsys, "partitions", "--r", "4")
+        run(capsys, "partitions", "--r", "4", "--catalog", str(cat))
+        run(capsys, "partitions", "--r", "4", "--catalog", str(cat))
         lines = cat.read_text().splitlines()
         assert len(lines) == 2
         rec = json.loads(lines[0])
@@ -302,34 +315,18 @@ class TestCliContracts:
         assert code == 2 and json.loads(out)["count"] == 2
         assert err.startswith("error: ") and "missing-dir" in err and err.count("\n") == 1
 
-    def test_config_file_and_flag_precedence(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cat_a, cat_b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
-        cfg.write_text(json.dumps({"catalog_path": str(cat_a)}))
-        run(capsys, "partitions", "--r", "3", "--config", str(cfg))
-        assert cat_a.exists()
-        run(capsys, "partitions", "--r", "3", "--config", str(cfg), "--catalog", str(cat_b))
-        assert cat_b.exists() and len(cat_a.read_text().splitlines()) == 1
-
-    def test_catalogue_digest_ignores_spelling(self, capsys, tmp_path, monkeypatch):
-        cat, other, cfg = tmp_path / "cat.ndjson", tmp_path / "other.ndjson", tmp_path / "cfg.json"
-        cfg.write_text("{}")
-        monkeypatch.setenv("PATCOL_CATALOG", str(cat))
+    def test_catalogue_digest_ignores_spelling(self, capsys, tmp_path):
+        cat, other = tmp_path / "cat.ndjson", tmp_path / "other.ndjson"
         base = ["classify", "--r", "3", "--Q"]
         for argv in (
-            base + ["[[2,1]]"],
-            base + ["[[2, 1]]"],
-            base + ["[[1,2]]"],
+            base + ["[[2,1]]", "--catalog", str(cat)],
+            base + ["[[2, 1]]", "--catalog", str(cat)],
+            base + ["[[1,2]]", "--catalog", str(cat)],
             base + ["[[2,1]]", "--catalog", str(other)],
-            base + ["[[2,1]]", "--config", str(cfg)],
         ):
             assert run(capsys, *argv)[0] == 0
-        # Ambient settings reach every command; one it does not read must not split the digest.
-        for name in ("PATCOL_BUDGET", "PATCOL_EDGE_CAP"):
-            monkeypatch.setenv(name, "5")
-            assert run(capsys, *base, "[[2,1]]")[0] == 0
         records = [json.loads(line) for path in (cat, other) for line in path.read_text().splitlines()]
-        assert len(records) == 7 and len({rec["input_digest"] for rec in records}) == 1
+        assert len(records) == 4 and len({rec["input_digest"] for rec in records}) == 1
 
     @pytest.mark.parametrize(
         "argv,flag,same",
@@ -386,49 +383,6 @@ class TestCliContracts:
         digests = [json.loads(line)["input_digest"] for line in cat.read_text().splitlines()]
         assert digests[0] == digests[1] != digests[2]
 
-    def test_cli_defaults_match_the_library(self):
-        # The CLI keeps its own copy so that its cold path imports no engine.
-        from patcol.cli import _CONFIG_KEYS
-        from patcol.hypergraph import DEFAULT_EDGE_CAP
-
-        assert _CONFIG_KEYS["edge_cap"][-1] == DEFAULT_EDGE_CAP
-
-    def test_config_not_an_object_exits_2(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1,2]")
-        code = main(["partitions", "--r", "3", "--config", str(cfg)])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err == f"error: {cfg}: config must be a JSON object\n"
-
-    @pytest.mark.parametrize(
-        "key,value",
-        [
-            ("budget_s", "abc"),
-            ("budget_s", True),
-            ("edge_cap", True),
-            ("edge_cap", "abc"),
-            ("budget_s", -1),
-            ("budget_s", float("nan")),
-            ("budget_s", float("inf")),
-            pytest.param("budget_s", 10**400, id="budget_s-int-beyond-float"),
-            ("edge_cap", 0),
-            ("catalog_path", ""),
-            # Quoted as a short excerpt, not as its 1,000 characters.  (985 deep, as
-            # seen from the command line, is past the decoder's room under pytest.)
-            pytest.param("budget_s", json.loads("[" * 500 + "]" * 500), id="budget_s-nested-500"),
-        ],
-    )
-    def test_bad_config_values_exit_2(self, capsys, tmp_path, key, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        argv = ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]", "--config", str(cfg)]
-        code = main(argv)
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and key in err and len(err.strip().splitlines()) == 1
-        assert len(err) < 200
-
     @pytest.mark.parametrize(
         "name,value",
         [
@@ -437,25 +391,15 @@ class TestCliContracts:
             ("--budget", "inf"),
             ("--edge-cap", "0"),
             ("--catalog", ""),
-            ("PATCOL_BUDGET", "nan"),
-            ("PATCOL_BUDGET", "-1"),
-            ("PATCOL_BUDGET", "abc"),
-            pytest.param("PATCOL_BUDGET", "1" + "0" * 400, id="PATCOL_BUDGET-beyond-float"),
-            ("PATCOL_EDGE_CAP", "0"),
-            ("PATCOL_EDGE_CAP", "2.5"),
-            ("PATCOL_CATALOG", ""),
+            pytest.param("--budget", "1e400", id="--budget-beyond-float"),
         ],
     )
-    def test_bad_flag_and_env_values_exit_2(self, capsys, monkeypatch, name, value):
-        # Flags and environment variables pass the config file's checks; --edge-cap is a build flag.
+    def test_bad_flag_and_env_values_exit_2(self, capsys, name, value):
+        # --edge-cap is a build flag.
         argv = ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"]
         if name == "--edge-cap":
             argv = ["build", "--kind", "complete", "--n", "4", "--r", "3"]
-        if name.startswith("--"):
-            argv += [name, value]
-        else:
-            monkeypatch.setenv(name, value)
-        code = main(argv)
+        code = main([*argv, name, value])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith(f"error: {name} must be ") and len(err.strip().splitlines()) == 1
@@ -515,6 +459,10 @@ class TestCliContracts:
             ["clique", "--sigma", "n=3,r=3,q=2", "--Sigma", "[[2,1]]", "--vertex-cap", "5"],
             # An empty path would read as no path at all.
             ["build", "--kind", "complete", "--n", "4", "--r", "3", "--out", ""],
+            # Kinds that build no edge set ignore the cap; settings come only from the flags.
+            ["build", "--kind", "family", "--r", "3", "--family", "classical", "--edge-cap", "5"],
+            ["build", "--kind", "sigma", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--edge-cap", "1"],
+            ["partitions", "--r", "3", "--config", "x.json"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -557,10 +505,8 @@ class TestCliContracts:
             pytest.param(b"", ["classify", "--r", "3", "--Q", "[" * 3000 + "]" * 3000], "--Q", id="inline-deep"),
             pytest.param(_DEEP, ["classify", "--r", "3", "--Q", "@{path}"], None, id="at-file-deep"),
             pytest.param(_DEEP, ["spectrum", "--file", "{path}", "--Q", "[[2,1]]"], None, id="file-deep"),
-            pytest.param(_DEEP, ["partitions", "--r", "2", "--config", "{path}"], None, id="config-deep"),
             pytest.param(_NOT_UTF8, ["classify", "--r", "3", "--Q", "@{path}"], None, id="at-file-not-utf8"),
             pytest.param(_NOT_UTF8, ["spectrum", "--file", "{path}", "--Q", "[[2,1]]"], None, id="file-not-utf8"),
-            pytest.param(b"{budget_s: 1}", ["partitions", "--r", "2", "--config", "{path}"], None, id="config-malformed"),
         ],
     )
     def test_undecodable_json_exits_2_naming_its_source(self, capsys, tmp_path, content, argv, source):
@@ -571,28 +517,6 @@ class TestCliContracts:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith(f"error: {source or path}: ") and err.count("\n") == 1
-
-    def test_catalog_path_through_every_layer(self, capsys, tmp_path, monkeypatch):
-        """Default, then PATCOL_CONFIG, --config over it, PATCOL_CATALOG over both, --catalog over all."""
-        monkeypatch.chdir(tmp_path)
-        for name in ("PATCOL_CONFIG", "PATCOL_CATALOG"):
-            monkeypatch.delenv(name, raising=False)
-        for name in ("env-config", "flag-config"):
-            (tmp_path / f"{name}.json").write_text(json.dumps({"catalog_path": f"{name}.ndjson"}))
-        argv = ["partitions", "--r", "2"]
-        steps = [
-            ("default", None),
-            ("env-config", lambda: monkeypatch.setenv("PATCOL_CONFIG", "env-config.json")),
-            ("flag-config", lambda: argv.extend(["--config", "flag-config.json"])),
-            ("env", lambda: monkeypatch.setenv("PATCOL_CATALOG", "env.ndjson")),
-            ("flag", lambda: argv.extend(["--catalog", "flag.ndjson"])),
-        ]
-        for i, (receiver, add_layer) in enumerate(steps):
-            if add_layer:
-                add_layer()
-            assert run(capsys, *argv)[0] == 0
-            written = {p.stem: len(p.read_text().splitlines()) for p in tmp_path.glob("*.ndjson")}
-            assert written == {name: 1 for name, _ in steps[1 : i + 1]}, receiver
 
 
 # The README's quick-start commands (all but verify, whose payload
@@ -635,6 +559,9 @@ _README_COMMANDS = {
 
 @pytest.mark.parametrize("name", list(_README_COMMANDS))
 def test_readme_command_output_is_pinned(name, capsys, tmp_path, monkeypatch):
+    # Settings come only from flags: these variables change no output and write no file.
+    for var, value in [("BUDGET", "abc"), ("EDGE_CAP", "1"), ("CATALOG", "cat.ndjson"), ("CONFIG", "missing.json")]:
+        monkeypatch.setenv("PATCOL_" + var, value)
     monkeypatch.chdir(tmp_path)
     if name == "spectrum-file":  # reads the grid that the build command writes
         assert main(_README_COMMANDS["build"][0]) == 0
@@ -642,6 +569,7 @@ def test_readme_command_output_is_pinned(name, capsys, tmp_path, monkeypatch):
     argv, sha256 = _README_COMMANDS[name]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+    assert [p.name for p in tmp_path.iterdir()] == (["grid.json"] if name in ("build", "spectrum-file") else [])
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")

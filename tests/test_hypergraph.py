@@ -1,6 +1,7 @@
 import json
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -202,8 +203,8 @@ class TestFileIO:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_hypergraph(h, p1)
         write_hypergraph(read_hypergraph(p1), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        data = json.load(open(p1))
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        data = json.loads(Path(p1).read_text())
         assert data["edges"] == sorted(data["edges"])
         assert all(e == sorted(e) for e in data["edges"])
 
