@@ -52,11 +52,12 @@ def _read(path: str) -> bytes:
 
 def _check_settings(args) -> None:
     """Check the setting flags the command takes, where given; the handlers read them from ``args``."""
-    budget, cap = getattr(args, "budget_s", None), getattr(args, "edge_cap", None)
+    budget = getattr(args, "budget_s", None)
     if budget is not None and not 0 <= budget <= sys.float_info.max:
         raise ValueError(f"--budget must be a finite number >= 0, got {budget}")
-    if cap is not None and cap < 1:
-        raise ValueError(f"--edge-cap must be an integer >= 1, got {cap}")
+    for flag in ("edge_cap", "vertex_cap"):
+        if (cap := getattr(args, flag, None)) is not None and cap < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be an integer >= 1, got {cap}")
     if args.catalog_path == "":
         raise ValueError("--catalog must be a non-empty path")
 

@@ -27,11 +27,16 @@ from the single-colour draws that force a violation, rule out the rest.  No
 row is generated that allows a dead draw, of a part of a realizable type,
 whose pattern no allowed pattern dominates: other parts only add counts, so
 every edge taking the draw is forbidden and no valid matrix holds the row.
+So is every edge holding a placement of a sub-type (a proper sub-multiset
+of two or more parts of a type) whose pattern no allowed pattern dominates;
+sub-types are placed only where some pattern of their size is dead.  A dead
+draw (1^j) leaves each row at most j - 1 colours, so later rows add fewer.
 
 One search serves a whole set of target colour counts: rows are enumerated
 the same way whatever the target, which only caps the number of fresh
 colours, so a spectrum is one pass that prunes a branch only when no target
-still open is reachable from it.
+still open is reachable from it.  A structure with no realizable type has no
+edge, so ``sigma_spectrum`` gives it every count without a search.
 
 The decision searches (``sigma_exists_k``, ``sigma_search``) search capped
 rows: an edge takes at most A vertices of a class, A the largest part of a
@@ -49,6 +54,8 @@ class order, so it lists each valid matrix once, with its exact counts.
 """
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import Deadline, Spectrum, _Ticker, check_targets, collect_spectrum, recursion_room
@@ -428,8 +435,14 @@ def _search_distributions(
     parts = {a for sigma in sigma_types for a in sigma}
     dead = {p for a in parts for p in iter_partitions(a) if not any(dominates(w, p) for w in allowed.members)}
     row_forbidden = sorted(p for p in dead if not any(o != p and dominates(p, o) for o in dead))
+    # The sub-types and the alive patterns of their sizes (see the module docstring).
+    subs = {t for sigma in sigma_types for m in range(2, len(sigma)) for t in combinations(sigma, m)}
+    alive = {p for m in {sum(t) for t in subs} for p in iter_partitions(m) if any(dominates(w, p) for w in allowed)}
+    subs = sorted((t for t in subs if not alive.issuperset(iter_partitions(sum(t)))), reverse=True)
+    # A row holding a dead draw (1^j) has at most j - 1 colours.
+    width = next((len(p) - 1 for p in row_forbidden if p[0] == 1), q)
     cap = max(parts, default=q) if sort_classes else q
-    search = _Search(q, sigma_types, allowed.members, deadline, row_forbidden)
+    search = _Search(q, sigma_types + subs, allowed.members | alive, deadline, row_forbidden)
     rows = search.rows
 
     def full(row: Row) -> dict[int, int]:
@@ -446,7 +459,7 @@ def _search_distributions(
                 yield DistributionMatrix.from_rows(n, q, [full(row) for row in rows])
             return
         # Later rows are lex-at-most ``first``: if it is all ones, no longer.
-        reach = used + (n - ci) * (len(first) if first and first[0] == 1 else q)
+        reach = used + (n - ci) * (len(first) if first and first[0] == 1 else width)
         if not any(used <= t <= reach for t in targets):
             return
         for _, new_used, lam in search.candidate_rows(used, max(targets) - used, first, cap):
@@ -486,7 +499,15 @@ def sigma_spectrum(
 
     See ``budget.collect_spectrum`` for the budget.
     """
-    return collect_spectrum(sigma_search, s, allowed, k_max, budget_s)
+    return collect_spectrum(sigma_search if s.realizable_types().members else _edgeless, s, allowed, k_max, budget_s)
+
+
+def _edgeless(s: SigmaHypergraph, allowed: PatternSet, targets: set[int], found: Callable, deadline: Deadline) -> None:
+    """``sigma_search`` without edges, no search: for each k, vertex i takes colour min(i, k - 1)."""
+    check_targets(s, allowed, targets)
+    for k in sorted(targets):
+        slots = [min(i, k - 1) for i in range(s.vertex_count)]
+        found(DistributionMatrix.from_rows(s.n, s.q, [Counter(slots[c * s.q : (c + 1) * s.q]) for c in range(s.n)]))
 
 
 def enumerate_valid_distributions(

@@ -9,7 +9,7 @@ import sys
 import time
 from itertools import combinations
 
-from patcol.analysis import check_tight, ramsey_check, recolour_merge_top, recolour_split, simply_closed_colouring
+from patcol.analysis import canonical_tight_instance, check_tight, ramsey_check, recolour_merge_top, recolour_split, simply_closed_colouring
 from patcol.clique import brute_force_clique, omega_sigma
 from patcol.colouring import Colouring, classical_chromatic_number, exists_k_colouring, is_valid, spectrum
 from patcol.hypergraph import (
@@ -288,3 +288,22 @@ def test_criterion_11_bundle_colourability():
     if ramsey_check(5, 2, 3, 2, no_mono).colourable is not True:
         failures.append("10-vertex bundle instance must be 2-colourable")
     conclude(11, "bundle-hypergraph desk checks", t0, 60.0, failures)
+
+
+def test_criterion_12_tight_theorem_table():
+    # Every non-empty Q without the monochromatic and rainbow patterns, at r = 3 and 4.
+    t0 = time.perf_counter()
+    failures = []
+    checked = 0
+    for r in (3, 4):
+        middle = sorted(enumerate_partitions(r).without(monochromatic(r)).without(rainbow(r)))
+        for size in range(1, len(middle) + 1):
+            for members in combinations(middle, size):
+                q = PatternSet.of(r, members)
+                report = check_tight(canonical_tight_instance(q), q)
+                checked += 1
+                if report.verdict is not True:
+                    failures.append(f"r={r} Q={sorted(members)}: verdict {report.verdict}")
+    if checked != 8:
+        failures.append(f"{checked} pattern sets checked, want 1 at r=3 and 7 at r=4")
+    conclude(12, "tight theorem at r = 3 and 4", t0, 60.0, failures)

@@ -345,7 +345,7 @@ class TestLemmaSuite:
         [
             (3, 0, "013c6037e42d0c1d841c1ea386f7361dae6bbf7f4cfd871f7dce3eb77bd82b4a"),
             (3, 120, "423bb4451251d0ac14534e926e5fa88b47d37cc95a1c018f81a899b75e6e808c"),
-            (4, 0, "ea385731b3b55cd7613c2bf84e04fa84dc572057ef5e7b11b33cd50427be3bce"),
+            (4, 0, "55489ac498319c6ecfc54a71c0d6b75c286f189a1a7a447f318d51c363c6dc7b"),
             (4, 120, "2544b5606cdb6ad800432c688649b2d489bcbe8925a3be5ccff4ec35cf1a987a"),
         ],
     )
@@ -426,9 +426,9 @@ class TestGapSearch:
     def test_budget_overrun_is_unresolved(self):
         # A zero budget leaves every count unknown: neither a gap nor "no gap".
         sig = pset(4, (2, 1, 1))
-        report = gap_witness_search(4, pset(4, (3, 1)), [5], [4], sigma_sets=[sig], budget_s=0.0)
+        report = gap_witness_search(4, pset(4, (3, 1)), [7], [8], sigma_sets=[sig], budget_s=0.0)
         assert report.hits == ()
-        assert report.unresolved == ({"n": 5, "q": 4, "Sigma": sig.to_json()},)
+        assert report.unresolved == ({"n": 7, "q": 8, "Sigma": sig.to_json()},)
 
 
 class TestRamseyCheck:

@@ -217,11 +217,11 @@ class TestGapsCommand:
     def test_budget_overrun_is_unresolved_and_exits_3(self, capsys):
         code, data = run(
             capsys,
-            "gaps", "--r", "4", "--Q", "[[3,1]]", "--n-min", "5", "--n-max", "5",
-            "--q-min", "4", "--q-max", "4", "--Sigma", "[[2,1,1]]", "--budget", "0",
+            "gaps", "--r", "4", "--Q", "[[3,1]]", "--n-min", "7", "--n-max", "7",
+            "--q-min", "8", "--q-max", "8", "--Sigma", "[[2,1,1]]", "--budget", "0",
         )
         assert code == 3
-        assert data == {"hits": [], "unresolved": [{"n": 5, "q": 4, "Sigma": [[2, 1, 1]]}]}
+        assert data == {"hits": [], "unresolved": [{"n": 7, "q": 8, "Sigma": [[2, 1, 1]]}]}
 
     @pytest.mark.parametrize(
         "grid,flag",
@@ -390,15 +390,19 @@ class TestCliContracts:
             ("--budget", "nan"),
             ("--budget", "inf"),
             ("--edge-cap", "0"),
+            ("--vertex-cap", "0"),
+            ("--vertex-cap", "-1"),
             ("--catalog", ""),
             pytest.param("--budget", "1e400", id="--budget-beyond-float"),
         ],
     )
     def test_bad_flag_and_env_values_exit_2(self, capsys, name, value):
-        # --edge-cap is a build flag.
+        # --edge-cap is a build flag, --vertex-cap a clique one, checked before the file is read.
         argv = ["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"]
         if name == "--edge-cap":
             argv = ["build", "--kind", "complete", "--n", "4", "--r", "3"]
+        if name == "--vertex-cap":
+            argv = ["clique", "--file", "h.json"]
         code = main([*argv, name, value])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from patcol import sigma_engine
 from patcol.analysis import check_tight
 from patcol.budget import BudgetExceeded, Deadline
-from patcol.colouring import Colouring, exists_k_colouring, is_valid
+from patcol.colouring import Colouring, exists_k_colouring, is_valid, spectrum
 from patcol.hypergraph import SigmaHypergraph, build_sigma_explicit
 from patcol.partitions import PatternSet, build_family, enumerate_partitions
 from patcol.sigma_engine import (
@@ -372,6 +372,13 @@ class TestSigmaExistsK:
         s = SigmaHypergraph(14, 7, 37, pset(7, (6, 1)))
         assert sigma_exists_k(s, s.edge_types, 12, deadline=Deadline(60.0)) is None
 
+    def test_r5_sub_type_instance_decided(self):
+        # H(10,5,17|{(3,1,1)}): a placed (3,1) sub-edge whose pattern no
+        # allowed pattern dominates is cut as soon as its two classes are placed.
+        s = SigmaHypergraph(10, 5, 17, pset(5, (3, 1, 1)))
+        for k in (9, 11):
+            assert sigma_exists_k(s, s.edge_types, k, deadline=Deadline(10.0)) is None
+
     def test_class_order_quotient_matches_enumeration(self):
         # Decisions search only canonical class orders; enumeration keeps
         # class order, so it is the oracle for which k are feasible and for
@@ -502,16 +509,16 @@ class TestPinnedSearchOrder:
         assert w.picks == (((0, 1),), ((1, 1),), ((2, 1),))
 
 
+def _every_pattern_set(r: int) -> list[PatternSet]:
+    universe = sorted(enumerate_partitions(r))
+    return [PatternSet(r, frozenset(c)) for size in range(1, len(universe) + 1) for c in combinations(universe, size)]
+
+
 class TestAgreementWithExplicitEngine:
     def test_exhaustive_tiny_grid(self):
         # n <= 2, q <= 2, r <= 3: every type set, every allowed set, every k.
         for r in (2, 3):
-            universe = sorted(enumerate_partitions(r))
-            sets = [
-                PatternSet(r, frozenset(c))
-                for size in range(1, len(universe) + 1)
-                for c in combinations(universe, size)
-            ]
+            sets = _every_pattern_set(r)
             for n in (1, 2):
                 for q in (1, 2):
                     for types in sets:
@@ -522,6 +529,20 @@ class TestAgreementWithExplicitEngine:
                                 a = sigma_exists_k(s, allowed, k) is not None
                                 b = exists_k_colouring(h, k, allowed) is not None
                                 assert a == b, (n, r, q, sorted(types.members), sorted(allowed.members), k)
+
+    def test_sub_type_grid(self):
+        # n = 3, q <= 2, r in {3, 4}: a type of three or more parts has
+        # sub-types over two classes, which the search places before the third.
+        for r in (3, 4):
+            sets = _every_pattern_set(r)
+            for q in (1, 2):
+                for types in sets:
+                    if all(len(t) < 3 for t in types):
+                        continue
+                    s = SigmaHypergraph(3, r, q, types)
+                    h = build_sigma_explicit(s)
+                    for allowed in sets:
+                        assert sigma_spectrum(s, allowed) == spectrum(h, allowed), (r, q, sorted(types), sorted(allowed))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -589,6 +610,25 @@ class TestSpectrum:
         s = SigmaHypergraph(n, 4, q, PatternSet.of(4, types))
         spec = sigma_spectrum(s, pset(4, (3, 1)))
         assert set(spec.feasible) == want and not spec.unknown
+
+    def test_row_width_bound_is_tight(self):
+        # (1,1,1) is a dead draw of the part 3, so a row holds at most two
+        # colours, and three rows reach six colours exactly.
+        q21 = pset(3, (2, 1))
+        s = SigmaHypergraph(3, 3, 3, pset(3, (3,)))
+        spec = sigma_spectrum(s, q21)
+        assert spec.feasible == (2, 3, 4, 5, 6) and spec == spectrum(build_sigma_explicit(s), q21)
+        assert tuple(k for k in range(1, 10) if sigma_exists_k(s, q21, k) is not None) == spec.feasible
+
+    def test_no_realizable_type_needs_no_search(self):
+        # (4) needs a class of 4: no edge, every count feasible, even with no budget.
+        s = SigmaHypergraph(10, 4, 3, pset(4, (4,)))
+        spec = sigma_spectrum(s, pset(4, (3, 1)), budget_s=0.0)
+        assert spec.feasible == tuple(range(1, 31)) and not spec.unknown
+        with pytest.raises(ValueError):
+            sigma_spectrum(s, pset(3, (2, 1)))
+        with pytest.raises(ValueError):
+            sigma_spectrum(s, pset(4, (3, 1)), k_max=31)
 
     def test_disjoint_union_is_intersection_bounded(self):
         q31 = pset(4, (3, 1))
