@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .partitions import (
     FAMILY_KINDS,
+    FAMILY_PARAMS,
     PatternSet,
     as_partition,
     build_family,
@@ -158,7 +159,7 @@ _BUILD_FLAGS = {
     "complete": (("n", "r"), ("out",)),
     "ramsey": (("n", "r", "p"), ("out",)),
     "grid": (("rows", "cols", "cell_size", "row_patterns", "col_patterns", "r"), ("out",)),
-    "family": (("family", "r"), ("alpha", "beta", "s", "t", "a", "b")),
+    "family": (("family", "r"), FAMILY_PARAMS),
     "sigma": (("sigma", "Sigma"), ("explicit", "out")),
 }
 
@@ -272,7 +273,7 @@ def _cmd_verify(args) -> tuple[dict, bool, dict]:
 
     budget_s = LEMMA_BUDGET_S if args.budget_s is None else args.budget_s
     payload = verify_lemma_constructions(args.r, budget_s=budget_s)
-    inputs = {"suite": args.suite, "r": args.r, "budget_s": budget_s}
+    inputs = {"suite": payload["suite"], "r": args.r, "budget_s": budget_s}
     return payload, any(rep["verdict"] == "unknown" for rep in payload["reports"]), inputs
 
 
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Sigma", help="allowed edge types")
     p.add_argument("--explicit", action="store_true", help="materialise the edge set")
     p.add_argument("--family", choices=list(FAMILY_KINDS))
-    for name in _BUILD_FLAGS["family"][1]:
+    for name in FAMILY_PARAMS:
         p.add_argument(f"--{name}", type=int)
     p.add_argument("--out", help="write hypergraph JSON here instead of stdout")
     p.add_argument("--edge-cap", type=int, dest="edge_cap", help="most edges to build (by default the library's cap)")
@@ -368,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", required=True)
     p.set_defaults(handler=_cmd_ramsey)
 
-    p = sub.add_parser("verify", parents=[search], help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=["lemmas"])
+    p = sub.add_parser("verify", parents=[search], help="run the lemma suite")
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(handler=_cmd_verify)
 

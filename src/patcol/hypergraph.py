@@ -126,7 +126,7 @@ class SigmaHypergraph(_SigmaFields):
         )
 
     def unrealizable_types(self) -> PatternSet:
-        return self.edge_types.difference(self.realizable_types())
+        return PatternSet(self.r, self.edge_types.members - self.realizable_types().members)
 
     def key(self) -> dict:
         return {"n": self.n, "r": self.r, "q": self.q, "Sigma": self.edge_types.to_json()}

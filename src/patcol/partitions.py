@@ -117,16 +117,8 @@ class PatternSet:
             raise ValueError("most_parts is undefined on an empty pattern set")
         return max(len(p) for p in self.members)
 
-    def difference(self, other: "PatternSet") -> "PatternSet":
-        self._require_same_r(other)
-        return PatternSet(self.r, self.members - other.members)
-
     def without(self, p: Iterable[int]) -> "PatternSet":
         return PatternSet(self.r, self.members - {as_partition(p)})
-
-    def _require_same_r(self, other: "PatternSet") -> None:
-        if self.r != other.r:
-            raise ValueError(f"pattern sets have different r: {self.r} vs {other.r}")
 
     def to_json(self) -> list[list[int]]:
         return [list(p) for p in self]
@@ -265,16 +257,20 @@ def classify_robust(q: PatternSet) -> RobustnessReport:
     )
 
 
-FAMILY_KINDS = (
-    "classical-graph",
-    "classical",
-    "no-monochromatic",
-    "no-rainbow",
-    "nmnr",
-    "alpha-beta",
-    "stably-bounded",
-    "conflict-free",
-)
+# Each named family's (low, high) parameter pairs, each needing 1 <= low <= high <= r, and its test of a
+# pattern p of r under the parameter values v.  (r) is the one pattern of one part, (1^r) the one of r parts.
+_FAMILIES = {
+    "classical-graph": ((), lambda p, r, v: len(p) == r),
+    "classical": ((), lambda p, r, v: len(p) > 1),
+    "no-monochromatic": ((), lambda p, r, v: len(p) > 1),
+    "no-rainbow": ((), lambda p, r, v: len(p) < r),
+    "nmnr": ((), lambda p, r, v: 1 < len(p) < r),
+    "alpha-beta": ((("alpha", "beta"),), lambda p, r, v: v["alpha"] <= len(p) <= v["beta"]),
+    "stably-bounded": ((("s", "t"), ("a", "b")), lambda p, r, v: v["s"] <= len(p) <= v["t"] and v["a"] <= p[0] <= v["b"]),
+    "conflict-free": ((), lambda p, r, v: p[-1] == 1),
+}
+FAMILY_KINDS = tuple(_FAMILIES)
+FAMILY_PARAMS = tuple(dict.fromkeys(name for pairs, _ in _FAMILIES.values() for pair in pairs for name in pair))
 
 
 def build_family(kind: str, r: int, **params: int) -> PatternSet:
@@ -300,36 +296,14 @@ def build_family(kind: str, r: int, **params: int) -> PatternSet:
     if r < 1:
         raise ValueError("r must be positive")
     kind = kind.lower()
-    if kind not in FAMILY_KINDS:
+    if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
-    reads = {"alpha-beta": ("alpha", "beta"), "stably-bounded": ("s", "t", "a", "b")}.get(kind, ())
-    if unread := [name for name in params if name not in reads]:
+    pairs, test = _FAMILIES[kind]
+    if unread := [name for name in params if not any(name in pair for pair in pairs)]:
         raise ValueError(f"family {kind!r} takes no parameter {', '.join(unread)}")
-    universe = enumerate_partitions(r)
-    m, rb = monochromatic(r), rainbow(r)
-
-    def bounded(name: str, lo_name: str, hi_name: str) -> tuple[int, int]:
-        try:
-            lo, hi = params[lo_name], params[hi_name]
-        except KeyError as exc:
-            raise ValueError(f"family {name!r} requires parameters {lo_name} and {hi_name}") from exc
+    for lo_name, hi_name in pairs:
+        if (lo := params.get(lo_name)) is None or (hi := params.get(hi_name)) is None:
+            raise ValueError(f"family {kind!r} requires parameters {lo_name} and {hi_name}")
         if not (1 <= lo <= hi <= r):
             raise ValueError(f"need 1 <= {lo_name} <= {hi_name} <= r, got {lo_name}={lo}, {hi_name}={hi}")
-        return lo, hi
-
-    if kind == "classical-graph":
-        return PatternSet.of(r, [rb])
-    if kind in ("classical", "no-monochromatic"):
-        return PatternSet(r, universe.members - {m})
-    if kind == "no-rainbow":
-        return PatternSet(r, universe.members - {rb})
-    if kind == "nmnr":
-        return PatternSet(r, universe.members - {m, rb})
-    if kind == "alpha-beta":
-        alpha, beta = bounded(kind, "alpha", "beta")
-        return PatternSet(r, frozenset(p for p in universe if alpha <= len(p) <= beta))
-    if kind == "stably-bounded":
-        s, t = bounded(kind, "s", "t")
-        a, b = bounded(kind, "a", "b")
-        return PatternSet(r, frozenset(p for p in universe if s <= len(p) <= t and a <= p[0] <= b))
-    return PatternSet(r, frozenset(p for p in universe if p[-1] == 1))  # conflict-free
+    return PatternSet(r, frozenset(p for p in iter_partitions(r) if test(p, r, params)))

@@ -430,14 +430,15 @@ def _search_distributions(
     """
     check_targets(s, allowed, targets)
     n, q = s.n, s.q
-    sigma_types = sorted(s.realizable_types(), reverse=True)
-    # The dead draws of every part of every type, the minimal ones (see _Search).
+    sigma_types = list(s.realizable_types())  # largest first
     parts = {a for sigma in sigma_types for a in sigma}
-    dead = {p for a in parts for p in iter_partitions(a) if not any(dominates(w, p) for w in allowed.members)}
-    row_forbidden = sorted(p for p in dead if not any(o != p and dominates(p, o) for o in dead))
-    # The sub-types and the alive patterns of their sizes (see the module docstring).
     subs = {t for sigma in sigma_types for m in range(2, len(sigma)) for t in combinations(sigma, m)}
-    alive = {p for m in {sum(t) for t in subs} for p in iter_partitions(m) if any(dominates(w, p) for w in allowed)}
+    # A pattern of a part or sub-type size is alive when some allowed pattern dominates it, else dead.
+    sizes = parts | {sum(t) for t in subs}
+    alive = {p for m in sizes for p in iter_partitions(m) if any(dominates(w, p) for w in allowed.members)}
+    # The minimal dead draws of the parts (see _Search), and the sub-types of a size with a dead pattern.
+    dead = {p for a in parts for p in iter_partitions(a) if p not in alive}
+    row_forbidden = sorted(p for p in dead if not any(o != p and dominates(p, o) for o in dead))
     subs = sorted((t for t in subs if not alive.issuperset(iter_partitions(sum(t)))), reverse=True)
     # A row holding a dead draw (1^j) has at most j - 1 colours.
     width = next((len(p) - 1 for p in row_forbidden if p[0] == 1), q)
@@ -503,7 +504,10 @@ def sigma_spectrum(
 
 
 def _edgeless(s: SigmaHypergraph, allowed: PatternSet, targets: set[int], found: Callable, deadline: Deadline) -> None:
-    """``sigma_search`` without edges, no search: for each k, vertex i takes colour min(i, k - 1)."""
+    """``sigma_search`` for ``collect_spectrum`` only, on a structure without edges: for each k, vertex i takes
+    colour min(i, k - 1).  It hands ``found`` one matrix per count, not every valid one, and returns None even
+    when ``found`` asks it to stop, which ``probe`` would read as infeasible.
+    """
     check_targets(s, allowed, targets)
     for k in sorted(targets):
         slots = [min(i, k - 1) for i in range(s.vertex_count)]

@@ -254,16 +254,17 @@ class TestRamseyCommand:
 
 class TestVerifyCommand:
     def test_lemma_suite_r3(self, capsys):
-        code, data = run(capsys, "verify", "--suite", "lemmas", "--r", "3", "--budget", "120")
+        code, data = run(capsys, "verify", "--r", "3", "--budget", "120")
         assert code == 0
         verdicts = [rep["verdict"] for rep in data["reports"]]
         assert verdicts.count("true") >= 5
 
     def test_unknown_suite_exit_2(self, capsys):
-        # --suite is an argparse choice, so the usage error exits from parse_args.
+        # verify runs the lemma suite only, so --suite is an unknown flag; the usage error exits from parse_args.
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nonsense", "--r", "3"])
-        assert exc.value.code == 2
+            main(["verify", "--suite", "lemmas", "--r", "3"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCliContracts:
@@ -332,7 +333,7 @@ class TestCliContracts:
         "argv,flag,same",
         [
             (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--budget", "5"], False),
-            (["verify", "--suite", "lemmas", "--r", "3"], ["--budget", "600"], True),
+            (["verify", "--r", "3"], ["--budget", "600"], True),
             (["clique", "--file", "h.json"], ["--vertex-cap", "41"], True),
             (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--k-max", "4"], True),
             (["spectrum", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--Q", "[[2,1]]"], ["--k-max", "3"], False),

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -237,7 +239,61 @@ class TestRobustness:
         assert classify_robust(q).expansion_closed
 
 
+# Each named family as build_family's docstring defines it: the parameters it
+# reads and a test of a pattern p of r under their values v.  (r) is the
+# monochromatic pattern and (1^r) the rainbow one.
+_FAMILY_DEFINITIONS = {
+    "classical-graph": ((), lambda p, r, v: p == (1,) * r),
+    "classical": ((), lambda p, r, v: p != (r,)),
+    "no-monochromatic": ((), lambda p, r, v: p != (r,)),
+    "no-rainbow": ((), lambda p, r, v: p != (1,) * r),
+    "nmnr": ((), lambda p, r, v: p not in ((r,), (1,) * r)),
+    "alpha-beta": (("alpha", "beta"), lambda p, r, v: v["alpha"] <= len(p) <= v["beta"]),
+    "stably-bounded": (("s", "t", "a", "b"), lambda p, r, v: v["s"] <= len(p) <= v["t"] and v["a"] <= max(p) <= v["b"]),
+    "conflict-free": ((), lambda p, r, v: 1 in p),
+}
+
+
+def _family_parameters(names, r):
+    """Every valid value tuple of the (low, high) pairs in names: at r <= 5 all of them, above only the widest."""
+    ranges = [(lo, hi) for lo in range(1, r + 1) for hi in range(lo, r + 1)] if r <= 5 else [(1, r)]
+    for values in itertools.product(ranges, repeat=len(names) // 2):
+        yield dict(zip(names, itertools.chain.from_iterable(values)))
+
+
 class TestFamilies:
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_every_family_matches_its_definition(self, r):
+        for kind, (names, member) in _FAMILY_DEFINITIONS.items():
+            for params in _family_parameters(names, r):
+                want = {p for p in iter_partitions(r) if member(p, r, params)}
+                assert build_family(kind, r, **params).members == want, (kind, params)
+                assert build_family(kind.upper(), r, **params).members == want
+        assert build_family("no-monochromatic", r) == build_family("classical", r)
+        if r == 1:  # (1) is both monochromatic and rainbow
+            assert build_family("classical-graph", 1).members == build_family("conflict-free", 1).members == {(1,)}
+            assert not any(build_family(kind, 1).members for kind in ("classical", "no-rainbow", "nmnr"))
+
+    @pytest.mark.parametrize(
+        "kind,params,message",
+        [
+            (
+                "proper",
+                {},
+                "unknown family kind 'proper'; expected one of ('classical-graph', 'classical', 'no-monochromatic', "
+                "'no-rainbow', 'nmnr', 'alpha-beta', 'stably-bounded', 'conflict-free')",
+            ),
+            ("nmnr", {"s": 1, "alpha": 2}, "family 'nmnr' takes no parameter s, alpha"),
+            ("stably-bounded", {"a": 1, "b": 2}, "family 'stably-bounded' requires parameters s and t"),
+            ("stably-bounded", {"s": 1, "t": 2, "a": 1}, "family 'stably-bounded' requires parameters a and b"),
+            ("stably-bounded", {"s": 1, "t": 2, "a": 0, "b": 2}, "need 1 <= a <= b <= r, got a=0, b=2"),
+            ("alpha-beta", {"alpha": 3, "beta": 5}, "need 1 <= alpha <= beta <= r, got alpha=3, beta=5"),
+        ],
+    )
+    def test_error_messages(self, kind, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_family(kind, 4, **params)
+
     def test_nmnr_r4(self):
         assert set(build_family("nmnr", 4)) == {(3, 1), (2, 2), (2, 1, 1)}
 
@@ -313,7 +369,3 @@ class TestPatternSet:
     def test_json_roundtrip(self):
         ps = pset(4, (2, 2), (3, 1))
         assert PatternSet.of(4, ps.to_json()).members == ps.members
-
-    def test_mixed_r_rejected(self):
-        with pytest.raises(ValueError):
-            pset(4, (3, 1)).difference(pset(3, (2, 1)))
