@@ -12,13 +12,17 @@ introduction), a surjectivity bound cuts branches that can no longer open
 every colour, and colours are tried in increasing order.
 
 Each edge is held as an interned state, the sorted tuple of its non-zero
-colour counts, with a per-search transition table, so no pattern is re-sorted
-on the hot path.  A partially coloured edge survives only if some usable
+colour counts, with a transition table, so no pattern is re-sorted on the
+hot path.  The table depends only on r, the allowed set and the most parts a
+usable pattern has, and a bounded cache keyed on these three shares it
+between searches.  A partially coloured edge survives only if some usable
 allowed pattern dominates its counts; a complete edge only if its pattern is
 allowed.  Forward checking (Haralick & Elliott 1980) keeps every vertex's
 colour domain: after each assignment the colours that would kill an edge are
 removed from the uncoloured neighbours' domains, and an empty domain is a
-dead end.
+dead end.  Colouring the last vertex of an edge leaves the edge's state as it
+was: that vertex's domain already holds only colours completing an allowed
+pattern, and no later node reads a complete edge.
 
 One search serves a set of target colour counts, as in the distribution
 engine: it branches on colours below min(used+1, largest open target),
@@ -33,6 +37,7 @@ witness.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .budget import Deadline, Spectrum, _Ticker, check_targets, collect_spectrum, recursion_room
@@ -97,44 +102,26 @@ def is_valid(h: Hypergraph, c: Colouring, allowed: PatternSet) -> ValidityReport
     return ValidityReport(True)
 
 
-def search_colourings(
-    h: Hypergraph,
-    allowed: PatternSet,
-    targets: set[int],
-    found: Callable[[Colouring], bool],
-    deadline: Deadline | None = None,
-) -> Colouring | None:
-    """One search for valid surjective colourings whose colour count is a target.
+@lru_cache(maxsize=256)
+def _edge_states(r: int, members: frozenset[Partition], parts: int):
+    """Interned states of r-uniform edges under the allowed patterns of at most ``parts`` parts.
 
-    Each colouring found whose count is still in ``targets`` goes to
-    ``found``, which may discard counts from ``targets`` (the search reads
-    them again after each call) and returns True to stop the search.  Returns
-    the colouring that stopped it, or None once the search is exhausted.
-    Raises BudgetExceeded if the deadline runs out first.
+    sigs[s] is the non-increasing tuple of an edge's non-zero colour counts
+    (state 0 is the empty edge); step[s][x] is the state after one of those
+    counts goes from x to x+1 (-1 until first needed); alive[s] tells whether
+    an edge in state s can still end in a usable pattern (exact membership
+    once complete); closing[s] whether it lacks exactly one vertex.  fits[s]
+    is the bitmask of the counts x whose increment keeps the edge alive, -1
+    when every increment does (nothing to prune), None until first needed.
+    The tables fill lazily and depend only on the key.
     """
-    check_targets(h, allowed, targets)
-    if not targets:
-        return None
-    lo, hi = min(targets), max(targets)
-    edges = h.sorted_edges()
-    usable = [p for p in allowed if len(p) <= hi]
-    if edges and not usable:
-        return None
-    nv, r = h.vertex_count, h.r
-    allowed_members = allowed.members
-
-    # Interned edge states.  sigs[s] is the non-increasing tuple of an edge's
-    # non-zero colour counts; step[s][x] is the state after one of those
-    # counts goes from x to x+1 (-1 until first needed); alive[s] tells
-    # whether an edge in state s can still end in an allowed pattern (exact
-    # membership once complete).  fits[s] is the bitmask of the counts x
-    # whose increment keeps the edge alive, -1 when every increment does or
-    # the edge is complete (nothing to prune), None until first needed.
+    usable = [p for p in members if len(p) <= parts]
     sigs: list[Partition] = []
     index: dict[Partition, int] = {}
     step: list[list[int]] = []
     alive: list[bool] = []
     fits: list[int | None] = []
+    closing: list[bool] = []
 
     def intern(sig: Partition) -> int:
         s = index.get(sig)
@@ -142,9 +129,10 @@ def search_colourings(
             s = index[sig] = len(sigs)
             sigs.append(sig)
             step.append([-1] * r)
-            complete = sum(sig) == r
-            alive.append(sig in allowed_members if complete else any(dominates(p, sig) for p in usable))
-            fits.append(-1 if complete else None)
+            filled = sum(sig)
+            alive.append(sig in members if filled == r else any(dominates(p, sig) for p in usable))
+            fits.append(None)
+            closing.append(filled == r - 1)
         return s
 
     def advance(s: int, x: int) -> int:
@@ -164,20 +152,50 @@ def search_colourings(
         fits[s] = f = -1 if f == sum(1 << x for x in present) else f
         return f
 
-    state = [intern(())] * len(edges)
-    counts = [[0] * hi for _ in edges]
-    colour_of = [-1] * nv
+    intern(())
+    return step, fits, closing, advance, fit
+
+
+def search_colourings(
+    h: Hypergraph,
+    allowed: PatternSet,
+    targets: set[int],
+    found: Callable[[Colouring], bool],
+    deadline: Deadline | None = None,
+) -> Colouring | None:
+    """One search for valid surjective colourings whose colour count is a target.
+
+    Each colouring found whose count is still in ``targets`` goes to
+    ``found``, which may discard counts from ``targets`` (the search reads
+    them again after each call) and returns True to stop the search.  Returns
+    the colouring that stopped it, or None once the search is exhausted.
+    Raises BudgetExceeded if the deadline runs out first.
+    """
+    check_targets(h, allowed, targets)
+    if not targets:
+        return None
+    lo, hi = min(targets), max(targets)
+    # Searches whose hi differs only above this share their edge states.
+    parts = max((len(p) for p in allowed if len(p) <= hi), default=0)
+    if h.edges and not parts:
+        return None
+    nv = h.vertex_count
+    step, fits, closing, advance, fit = _edge_states(h.r, allowed.members, parts)
+    edges = list(h.edges)
     incident: list[list[int]] = [[] for _ in range(nv)]
     for ei, e in enumerate(edges):
         for v in e:
             incident[v].append(ei)
+    state = [0] * len(edges)
+    width = hi  # edge ei counts colour c at ei * width + c; hi falls as targets close
+    counts = [0] * (len(edges) * width)
+    colour_of = [-1] * nv
     # Domains: bit c of domain[u] is set while u may take colour c without
     # killing an incident edge; the bits of colours not yet in use are all
     # equal.  A lone coloured vertex always fits some usable pattern, so
     # every domain starts full.
     domain = [(1 << hi) - 1] * nv
-    deg = h.degrees()
-    by_degree = sorted(range(nv), key=lambda v: (-deg[v], v))  # DSATUR tie-break
+    by_degree = sorted(range(nv), key=lambda v: (-len(incident[v]), v))  # DSATUR tie-break
     ticker = _Ticker(deadline, stride=64)
     stop: Colouring | None = None
 
@@ -221,30 +239,33 @@ def search_colourings(
             colour_of[v] = c
             now_used = max(used, c + 1)
             now_open = (1 << min(now_used + 1, hi)) - 1
-            before = [state[ei] for ei in touched]
-            for ei in touched:
-                row = counts[ei]
-                x = row[c]
-                row[c] = x + 1
-                t = step[state[ei]][x]
-                state[ei] = t if t >= 0 else advance(state[ei], x)
-            # Forward checking: shrink the domains of v's uncoloured
-            # neighbours; an empty one is a dead end.
+            # Count c on each incident edge that v does not complete (see the
+            # module docstring) and forward check it: shrink the domains of
+            # its uncoloured vertices; an empty one is a dead end.
+            before: list[int] = []
             saved: list[tuple[int, int]] = []
             ok = True
             for ei in touched:
-                f = fits[state[ei]]
+                s = state[ei]
+                before.append(s)
+                if closing[s]:
+                    continue
+                base = ei * width
+                x = counts[base + c]
+                counts[base + c] = x + 1
+                t = step[s][x]
+                state[ei] = t = t if t >= 0 else advance(s, x)
+                f = fits[t]
                 if f is None:
-                    f = fit(state[ei])
+                    f = fit(t)
                 if f < 0:
                     continue
                 # Colours absent from the edge all behave like count 0.
                 mask = -1 if f & 1 else 0
-                row = counts[ei]
                 for w in edges[ei]:
                     cw = colour_of[w]
                     if cw >= 0:
-                        if f >> row[cw] & 1:
+                        if f >> counts[base + cw] & 1:
                             mask |= 1 << cw
                         else:
                             mask &= ~(1 << cw)
@@ -264,8 +285,9 @@ def search_colourings(
             for u, d in reversed(saved):
                 domain[u] = d
             for ei, s in zip(touched, before):
-                counts[ei][c] -= 1
-                state[ei] = s
+                if not closing[s]:
+                    counts[ei * width + c] -= 1
+                    state[ei] = s
             colour_of[v] = -1
         return False
 

@@ -35,13 +35,6 @@ class Hypergraph(NamedTuple):
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return deg
-
     def to_json_dict(self) -> dict:
         return {
             "r": self.r,

@@ -392,3 +392,42 @@ class TestClassicalChromatic:
                         if i != j
                     )
                     assert mono_edge
+
+
+class TestPinnedSearchOrder:
+    """Witnesses of seeded random instances, digested once and hard-coded.
+
+    Which colouring is found first depends on the vertex order, the colour
+    order and the pruning rules; a change to the search's bookkeeping must
+    leave every witness unchanged.
+    """
+
+    def test_witness_digest(self, monkeypatch):
+        import hashlib
+        from itertools import combinations
+
+        # Every witness any search reports, in order.  The spectrum's one
+        # search closes each count as its first witness arrives, so later
+        # witnesses are found under fewer targets.
+        reported = []
+        search = colouring.search_colourings
+
+        def recorded(h, allowed, targets, found, deadline):
+            return search(h, allowed, targets, lambda w: reported.append(w.colours) or found(w), deadline)
+
+        monkeypatch.setattr(colouring, "search_colourings", recorded)
+        rng = random.Random(3034)
+        lines = []
+        for _ in range(30):
+            r = rng.choice([3, 4])
+            nv = rng.randint(8, 10)
+            pool = list(combinations(range(nv), r))
+            h = make_hypergraph(r, nv, rng.sample(pool, len(pool) * 3 // 10))
+            universe = sorted(enumerate_partitions(r))
+            allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, len(universe)))))
+            lines += [repr(colouring.exists_k_colouring(h, k, allowed)) for k in range(1, nv + 1)]
+            lines.append(repr(colouring.spectrum(h, allowed)))
+        lines += map(repr, reported)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "cb1c0eeaa8a75330765405920b9f2f032e889154de0c2ebeae091bbcb86bd014"
+        )
