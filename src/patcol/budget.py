@@ -144,20 +144,24 @@ class Spectrum(NamedTuple):
 
 
 def collect_spectrum(
-    search: Callable, structure, allowed: PatternSet, k_max: int | None, budget_s: float | None
+    search: Callable | None, structure, allowed: PatternSet, k_max: int | None, budget_s: float | None
 ) -> Spectrum:
     """Colour counts 1..k_max (default: all) of either engine, in one search.
 
-    ``search`` is ``colouring.search_colourings`` or ``sigma_engine.sigma_search``.  The
-    search runs under a single budget and drops each count once it finds a
-    witness with it, so a refutation is shared by every count still open.  On
-    an overrun the counts found so far are feasible and every count still
-    open is unknown, never infeasible.
+    ``search`` is ``colouring.search_colourings`` or ``sigma_engine.sigma_search``, or
+    None for a structure without edges, where every count is feasible and no
+    search runs.  The search runs under a single budget and drops each count
+    once it finds a witness with it, so a refutation is shared by every count
+    still open.  On an overrun the counts found so far are feasible and every
+    count still open is unknown, never infeasible.
     """
     nv = structure.vertex_count
     k_max = nv if k_max is None else k_max
     if not 1 <= k_max <= nv:
         raise ValueError(f"need 1 <= k_max <= {nv}, got {k_max}")
+    if search is None:
+        check_targets(structure, allowed, ())
+        return Spectrum(tuple(range(1, k_max + 1)), k_max)
     found = collect(search, structure, allowed, targets=range(1, k_max + 1), budget_s=budget_s)
     return Spectrum(tuple(k for k, f in found.items() if f), k_max, tuple(k for k, f in found.items() if f is None))
 

@@ -197,22 +197,20 @@ def search_colourings(
     domain = [(1 << hi) - 1] * nv
     by_degree = sorted(range(nv), key=lambda v: (-len(incident[v]), v))  # DSATUR tie-break
     ticker = _Ticker(deadline, stride=64)
-    stop: Colouring | None = None
 
-    def search(pos: int, used: int) -> bool:
-        nonlocal lo, hi, stop
+    def search(pos: int, used: int) -> Colouring | None:
+        nonlocal lo, hi
         ticker.tick()
         if pos == nv:
             if used not in targets:
-                return False
+                return None
             hit = Colouring.of(tuple(colour_of), used)
             if found(hit) or not targets:
-                stop = hit
-                return True
+                return hit
             lo, hi = min(targets), max(targets)
-            return False
+            return None
         if used > hi or lo - used > nv - pos:
-            return False  # no open target is reachable from here
+            return None  # no open target is reachable from here
         # Canonical colour introduction: colours 0..used-1, or the fresh `used`.
         open_ = (1 << min(used + 1, hi)) - 1
         v, best = -1, hi + 1
@@ -230,7 +228,7 @@ def search_colourings(
             # Domains only shrink, so when no uncoloured vertex can take the
             # fresh colour this branch ends with exactly `used` colours.
             if not fresh >> used & 1 and used not in targets:
-                return False
+                return None
         options = domain[v] & open_
         touched = incident[v]
         while options:
@@ -280,8 +278,8 @@ def search_colourings(
                                 break
                 if not ok:
                     break
-            if ok and search(pos + 1, now_used):
-                return True
+            if ok and (hit := search(pos + 1, now_used)) is not None:
+                return hit
             for u, d in reversed(saved):
                 domain[u] = d
             for ei, s in zip(touched, before):
@@ -289,11 +287,13 @@ def search_colourings(
                     counts[ei * width + c] -= 1
                     state[ei] = s
             colour_of[v] = -1
-        return False
+        return None
 
-    with recursion_room(nv):
-        search(0, 0)
-    return stop
+    try:
+        with recursion_room(nv):
+            return search(0, 0)
+    finally:
+        del search  # it holds itself in its closure cell, a cycle that would keep this state alive until gc
 
 
 def exists_k_colouring(
@@ -315,7 +315,7 @@ def spectrum(
     Probing runs to vertex_count by default, which is the only safe general
     bound.  See :func:`budget.collect_spectrum` for the budget.
     """
-    return collect_spectrum(search_colourings, h, allowed, k_max, budget_s)
+    return collect_spectrum(search_colourings if h.edges else None, h, allowed, k_max, budget_s)
 
 
 def classical_chromatic_number(h: Hypergraph, budget_s: float | None = None) -> int:

@@ -54,7 +54,6 @@ class order, so it lists each valid matrix once, with its exact counts.
 """
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -500,18 +499,7 @@ def sigma_spectrum(
 
     See ``budget.collect_spectrum`` for the budget.
     """
-    return collect_spectrum(sigma_search if s.realizable_types().members else _edgeless, s, allowed, k_max, budget_s)
-
-
-def _edgeless(s: SigmaHypergraph, allowed: PatternSet, targets: set[int], found: Callable, deadline: Deadline) -> None:
-    """``sigma_search`` for ``collect_spectrum`` only, on a structure without edges: for each k, vertex i takes
-    colour min(i, k - 1).  It hands ``found`` one matrix per count, not every valid one, and returns None even
-    when ``found`` asks it to stop, which ``probe`` would read as infeasible.
-    """
-    check_targets(s, allowed, targets)
-    for k in sorted(targets):
-        slots = [min(i, k - 1) for i in range(s.vertex_count)]
-        found(DistributionMatrix.from_rows(s.n, s.q, [Counter(slots[c * s.q : (c + 1) * s.q]) for c in range(s.n)]))
+    return collect_spectrum(sigma_search if s.realizable_types().members else None, s, allowed, k_max, budget_s)
 
 
 def enumerate_valid_distributions(

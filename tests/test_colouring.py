@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import random
 import sys
 import time
@@ -190,6 +192,23 @@ class TestSearch:
         h = build_sigma_explicit(SigmaHypergraph(12, 3, 3, q))
         with pytest.raises(BudgetExceeded):
             exists_k_colouring(h, 19, q, deadline=Deadline(0.0))
+
+    def test_finished_searches_leave_no_cycle(self):
+        # Reference counting alone frees a search's state, also after an overrun.
+        h, every = build_complete(7, 3), enumerate_partitions(3)
+        q = pset(3, (3,), (1, 1, 1))
+        overrun = build_sigma_explicit(SigmaHypergraph(12, 3, 3, q))
+        gc.collect()
+        gc.disable()
+        try:
+            for k in range(1, 8):
+                exists_k_colouring(h, k, every)
+            spectrum(h, every)
+            with contextlib.suppress(BudgetExceeded):
+                exists_k_colouring(overrun, 19, q, deadline=Deadline(0.0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)

@@ -622,13 +622,17 @@ class TestSpectrum:
 
     def test_no_realizable_type_needs_no_search(self):
         # (4) needs a class of 4: no edge, every count feasible, even with no budget.
-        s = SigmaHypergraph(10, 4, 3, pset(4, (4,)))
-        spec = sigma_spectrum(s, pset(4, (3, 1)), budget_s=0.0)
+        # Both engines settle it in the spectrum layer, so they agree.
+        s, q31 = SigmaHypergraph(10, 4, 3, pset(4, (4,))), pset(4, (3, 1))
+        h = build_sigma_explicit(s)
+        spec = sigma_spectrum(s, q31, budget_s=0.0)
         assert spec.feasible == tuple(range(1, 31)) and not spec.unknown
-        with pytest.raises(ValueError):
-            sigma_spectrum(s, pset(3, (2, 1)))
-        with pytest.raises(ValueError):
-            sigma_spectrum(s, pset(4, (3, 1)), k_max=31)
+        assert spectrum(h, q31, budget_s=0.0) == spec
+        for structure, run in ((s, sigma_spectrum), (h, spectrum)):
+            with pytest.raises(ValueError):
+                run(structure, pset(3, (2, 1)))
+            with pytest.raises(ValueError):
+                run(structure, q31, k_max=31)
 
     def test_disjoint_union_is_intersection_bounded(self):
         q31 = pset(4, (3, 1))
