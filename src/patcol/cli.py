@@ -228,7 +228,8 @@ def _cmd_clique(args) -> tuple[dict, bool, dict]:
     h, inputs = _structure(args)
     if not args.file:
         _refuse(args, "clique --sigma", ["vertex_cap"])
-        return {"method": "k-full", **omega_sigma(h).to_json_dict()}, False, inputs
+        w = omega_sigma(h)
+        return {"method": "k-full", "omega": w.k, "witness": w.to_json_dict()}, False, inputs
     # Without --vertex-cap the library's default applies; the cap can only refuse the run, which is not catalogued.
     omega = brute_force_clique(h, **({} if args.vertex_cap is None else {"vertex_cap": args.vertex_cap}))
     return {"method": "brute-force", "omega": omega}, False, inputs

@@ -55,39 +55,28 @@ def is_k_full(f: PatternSet, k: int, n_cap: int, q_cap: int) -> KFullWitness | N
     return None if b is None else KFullWitness(k, b, tuple(p for p in patterns if dominates(b, p)))
 
 
-class OmegaResult(NamedTuple):
-    omega: int
-    witness: KFullWitness
-
-    def to_json_dict(self) -> dict:
-        return {"omega": self.omega, "witness": self.witness.to_json_dict()}
-
-
-def omega_sigma(s: SigmaHypergraph) -> OmegaResult:
-    """Clique number of a class-structured hypergraph via k-fullness.
+def omega_sigma(s: SigmaHypergraph) -> KFullWitness:
+    """Clique number of a class-structured hypergraph: the k of the returned k-full witness.
 
     Capacity vectors are capped at n parts of size at most q, since a clique
     draws b_i vertices from class i.  When neither the monochromatic nor the
     rainbow type is allowed, (r-1)^2 bounds the answer and the scan starts there.
-    The scan always ends by k = r: each type fits the caps checked below, and
+    The scan always ends by k = r: each type is realizable (checked below), and
     as a capacity vector it dominates no other partition of r, so it
     certifies that the type set is r-full.
     """
     sig = s.edge_types
     if not sig.members:
         raise ValueError("edge type set must be non-empty")
-    if s.n < sig.most_parts():
-        raise ValueError(f"hypothesis violated: n={s.n} < most parts of the type set ({sig.most_parts()})")
-    if s.q < sig.largest_part():
-        raise ValueError(f"hypothesis violated: q={s.q} < largest part of the type set ({sig.largest_part()})")
+    if unfit := s.unrealizable_types():
+        raise ValueError(f"hypothesis violated: types {unfit.to_json()} do not fit n={s.n} classes of q={s.q} vertices")
     r = s.r
     upper = s.vertex_count
     if monochromatic(r) not in sig and rainbow(r) not in sig:
         upper = min(upper, (r - 1) ** 2)
     # k-fullness is downward monotone, so the first hit from above is the max.
     fulls = (is_k_full(sig, k, s.n, s.q) for k in range(upper, r - 1, -1))
-    w = next(w for w in fulls if w is not None)
-    return OmegaResult(w.k, w)
+    return next(w for w in fulls if w is not None)
 
 
 def brute_force_clique(h: Hypergraph, vertex_cap: int = 40) -> int:

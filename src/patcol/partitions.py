@@ -56,11 +56,11 @@ def load_json(raw: str | bytes, source: str):
 class PatternSet:
     """A set of partitions of a fixed r; immutable and hashable.
 
-    Empty sets are representable (they arise when a pattern is removed from a
-    singleton set) but the largest-part and part-count queries reject them.
-    Iteration is always in descending lexicographic order, so anything built
-    from an iteration is deterministic.  Not a tuple, since iterating yields
-    the members; pickling and copying rebuild it through the constructor.
+    Empty sets are representable: they arise when a pattern is removed from a
+    singleton set.  Iteration is always in descending lexicographic order, so
+    anything built from an iteration is deterministic.  Not a tuple, since
+    iterating yields the members; pickling and copying rebuild it through the
+    constructor.
     """
 
     __slots__ = ("r", "members")
@@ -104,18 +104,6 @@ class PatternSet:
 
     def __contains__(self, p: object) -> bool:
         return p in self.members
-
-    def largest_part(self) -> int:
-        """Max over members of the largest part; undefined on the empty set."""
-        if not self.members:
-            raise ValueError("largest_part is undefined on an empty pattern set")
-        return max(p[0] for p in self.members)
-
-    def most_parts(self) -> int:
-        """Max over members of the number of parts; undefined on the empty set."""
-        if not self.members:
-            raise ValueError("most_parts is undefined on an empty pattern set")
-        return max(len(p) for p in self.members)
 
     def without(self, p: Iterable[int]) -> "PatternSet":
         return PatternSet(self.r, self.members - {as_partition(p)})

@@ -9,7 +9,7 @@ import sys
 import time
 from itertools import combinations
 
-from patcol.analysis import canonical_tight_instance, check_tight, ramsey_check, recolour_merge_top, recolour_split, simply_closed_colouring
+from patcol.analysis import canonical_tight_instance, check_tight, gap_witness_search, ramsey_check, recolour_merge_top, recolour_split, simply_closed_colouring
 from patcol.clique import brute_force_clique, omega_sigma
 from patcol.colouring import Colouring, classical_chromatic_number, exists_k_colouring, is_valid, spectrum
 from patcol.hypergraph import (
@@ -168,14 +168,14 @@ def test_criterion_07_clique_equivalence():
     for n in range(1, 5):
         for q in range(1, 5):
             for types in type_sets:
-                if n < types.most_parts() or q < types.largest_part():
-                    continue
                 s = SigmaHypergraph(n, 3, q, types)
-                got = omega_sigma(s).omega
+                if s.unrealizable_types():
+                    continue
+                got = omega_sigma(s).k
                 want = brute_force_clique(build_sigma_explicit(s))
                 if got != want:
                     failures.append(f"(n={n},q={q},{sorted(types.members)}): k-full {got} vs brute {want}")
-    if omega_sigma(SigmaHypergraph(3, 3, 3, pset(3, (2, 1)))).omega != 4:
+    if omega_sigma(SigmaHypergraph(3, 3, 3, pset(3, (2, 1)))).k != 4:
         failures.append("desk instance clique number must be 4")
     for r in (3, 4):
         universe = sorted(enumerate_partitions(r))
@@ -184,9 +184,9 @@ def test_criterion_07_clique_equivalence():
             for c in combinations(middle, size):
                 types = PatternSet(r, frozenset(c))
                 s = SigmaHypergraph(
-                    max(3, types.most_parts()), r, max(3, types.largest_part()), types
+                    max(3, *map(len, types)), r, max(3, *(p[0] for p in types)), types
                 )
-                if omega_sigma(s).omega > (r - 1) ** 2:
+                if omega_sigma(s).k > (r - 1) ** 2:
                     failures.append(f"bound broken at r={r}, {sorted(types.members)}")
     conclude(7, "clique number equivalence and bound", t0, 300.0, failures)
 
@@ -199,7 +199,7 @@ def test_criterion_08_sparse_high_chromatic_instance():
     chi = classical_chromatic_number(h)
     if chi != 3:
         failures.append(f"classical chromatic number {chi}, want 3")
-    omega = omega_sigma(s).omega
+    omega = omega_sigma(s).k
     if omega != 4 or omega > 4:
         failures.append(f"clique number {omega} must be 4 and within (r-1)^2=4")
     # The family: chromatic number m grows while the clique number stays 4.
@@ -209,8 +209,8 @@ def test_criterion_08_sparse_high_chromatic_instance():
         feasible = sigma_spectrum(s, classical, k_max=m).feasible
         if feasible != (m,):
             failures.append(f"H({m},3,{m}): feasible counts up to {m} are {feasible}, want ({m},)")
-        if omega_sigma(s).omega != 4:
-            failures.append(f"H({m},3,{m}): clique number {omega_sigma(s).omega}, want 4")
+        if omega_sigma(s).k != 4:
+            failures.append(f"H({m},3,{m}): clique number {omega_sigma(s).k}, want 4")
     conclude(8, "sparse instances with chromatic m and clique 4", t0, 60.0, failures)
 
 
@@ -307,3 +307,30 @@ def test_criterion_12_tight_theorem_table():
     if checked != 8:
         failures.append(f"{checked} pattern sets checked, want 1 at r=3 and 7 at r=4")
     conclude(12, "tight theorem at r = 3 and 4", t0, 60.0, failures)
+
+
+def test_criterion_13_gap_atlas_r3():
+    # Every non-empty Q at r = 3 over n, q <= 4: the non-robust sets are exactly those with a gap.
+    t0 = time.perf_counter()
+    failures = []
+    universe = sorted(enumerate_partitions(3))
+    first_hits = {}
+    for size in range(1, len(universe) + 1):
+        for members in combinations(universe, size):
+            q = PatternSet.of(3, members)
+            report = gap_witness_search(3, q, range(1, 5), range(1, 5), budget_s=2.0)
+            if report.unresolved:
+                failures.append(f"Q={sorted(members)}: {len(report.unresolved)} points unresolved")
+            robust = classify_robust(q).robust
+            if robust != (not report.hits):
+                failures.append(f"Q={sorted(members)}: robust is {robust} with {len(report.hits)} hits")
+            if report.hits:
+                h = report.hits[0]
+                first_hits[q] = (len(report.hits), h.n, h.q, h.sigma, h.spectrum.gaps)
+    want = {
+        pset(3, (2, 1)): (2, 4, 2, pset(3, (2, 1)), (3,)),
+        pset(3, (3,), (1, 1, 1)): (66, 1, 3, pset(3, (3,)), (2,)),
+    }
+    if first_hits != want:
+        failures.append(f"(hits, first n, q, Sigma, gaps) per Q with a gap: {first_hits}, want {want}")
+    conclude(13, "gap atlas at r = 3", t0, 30.0, failures)

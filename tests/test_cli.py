@@ -468,6 +468,8 @@ class TestCliContracts:
             ["build", "--kind", "family", "--r", "3", "--family", "classical", "--edge-cap", "5"],
             ["build", "--kind", "sigma", "--sigma", "n=2,r=3,q=2", "--Sigma", "[[2,1]]", "--edge-cap", "1"],
             ["partitions", "--r", "3", "--config", "x.json"],
+            # An edge type with more parts than classes does not fit the structure.
+            ["clique", "--sigma", "n=2,r=3,q=3", "--Sigma", "[[1,1,1]]"],
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -622,6 +624,7 @@ class TestLazyImports:
         loaded = _patcol_modules_after(f"from patcol.cli import main\nassert main({argv!r}) == 0")
         assert "patcol.sigma_engine" in loaded and "patcol.colouring" not in loaded
         assert "patcol.colouring" not in _patcol_modules_after("import patcol.sigma_engine")
+        assert "patcol.sigma_engine" not in _patcol_modules_after("import patcol.colouring")
 
     @pytest.mark.parametrize(
         "argv",

@@ -40,15 +40,16 @@ class TestOmega:
     def test_desk_instance(self):
         s = SigmaHypergraph(3, 3, 3, pset(3, (2, 1)))
         res = omega_sigma(s)
-        assert res.omega == 4 and res.witness.b == (2, 2)
+        assert res.k == 4 and res.b == (2, 2)
 
     def test_rainbow_structure(self):
         s = SigmaHypergraph(5, 3, 2, pset(3, (1, 1, 1)))
-        assert omega_sigma(s).omega == 5
+        assert omega_sigma(s).k == 5
 
     def test_hypothesis_bounds_enforced(self):
-        with pytest.raises(ValueError, match="n="):
+        with pytest.raises(ValueError, match="n=") as err:
             omega_sigma(SigmaHypergraph(2, 3, 3, pset(3, (1, 1, 1))))
+        assert "[[1, 1, 1]]" in str(err.value)
         with pytest.raises(ValueError, match="q="):
             omega_sigma(SigmaHypergraph(3, 3, 1, pset(3, (2, 1))))
         with pytest.raises(ValueError, match="non-empty"):
@@ -64,24 +65,24 @@ class TestOmega:
         for n in range(1, 5):
             for q in range(1, 5):
                 for types in sets:
-                    if n < types.most_parts() or q < types.largest_part():
-                        continue
                     s = SigmaHypergraph(n, 3, q, types)
-                    got = omega_sigma(s).omega
+                    if s.unrealizable_types():
+                        continue
+                    got = omega_sigma(s).k
                     want = brute_force_clique(build_sigma_explicit(s))
                     assert got == want, (n, q, sorted(types.members), got, want)
 
     def test_matches_brute_force_sampled_r4(self):
         for types in [pset(4, (2, 2)), pset(4, (3, 1), (2, 1, 1)), pset(4, (1, 1, 1, 1), (2, 2))]:
             s = SigmaHypergraph(4, 4, 4, types)
-            assert omega_sigma(s).omega == brute_force_clique(build_sigma_explicit(s))
+            assert omega_sigma(s).k == brute_force_clique(build_sigma_explicit(s))
 
     def test_monotone_in_types(self):
         base = pset(3, (2, 1))
         bigger = pset(3, (2, 1), (3,))
         s1 = SigmaHypergraph(3, 3, 3, base)
         s2 = SigmaHypergraph(3, 3, 3, bigger)
-        assert omega_sigma(s1).omega <= omega_sigma(s2).omega
+        assert omega_sigma(s1).k <= omega_sigma(s2).k
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_bounded_when_extremes_excluded(self, r):
@@ -91,15 +92,15 @@ class TestOmega:
         for size in range(1, len(middle) + 1):
             for c in combinations(middle, size):
                 types = PatternSet(r, frozenset(c))
-                s = SigmaHypergraph(max(3, types.most_parts()), r, max(3, types.largest_part()), types)
-                assert omega_sigma(s).omega <= bound
+                s = SigmaHypergraph(max(3, *map(len, types)), r, max(3, *(p[0] for p in types)), types)
+                assert omega_sigma(s).k <= bound
 
     def test_uncapped_variant_can_exceed_class_structure(self):
         # Capacities are tied to the structure: the mono-only family's
         # cliques are single classes, so the answer is q, not the vertex count.
         types = pset(3, (3,))
         s = SigmaHypergraph(2, 3, 3, types)
-        assert omega_sigma(s).omega == 3
+        assert omega_sigma(s).k == 3
 
 
 class TestBruteForce:

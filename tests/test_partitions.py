@@ -352,16 +352,6 @@ class TestPatternSet:
         with pytest.raises(ValueError):
             PatternSet.of(4, [(3, 2)])
 
-    def test_extremal_queries(self):
-        ps = pset(6, (3, 2, 1), (4, 2))
-        assert ps.largest_part() == 4
-        assert ps.most_parts() == 3
-        empty = PatternSet.of(6, [])
-        with pytest.raises(ValueError):
-            empty.largest_part()
-        with pytest.raises(ValueError):
-            empty.most_parts()
-
     def test_iteration_is_sorted(self):
         ps = enumerate_partitions(5)
         assert list(ps) == sorted(ps.members, reverse=True)
