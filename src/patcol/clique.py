@@ -60,23 +60,25 @@ def omega_sigma(s: SigmaHypergraph) -> KFullWitness:
 
     Capacity vectors are capped at n parts of size at most q, since a clique
     draws b_i vertices from class i.  When neither the monochromatic nor the
-    rainbow type is allowed, (r-1)^2 bounds the answer and the scan starts there.
-    The scan always ends by k = r: each type is realizable (checked below), and
-    as a capacity vector it dominates no other partition of r, so it
-    certifies that the type set is r-full.
+    rainbow type is allowed, (r-1)^2 bounds the answer.  Each type is realizable
+    (checked below) and dominates no other partition of r, so the type set is
+    r-full; k-fullness is downward monotone, so ω is bisected from there.
     """
     sig = s.edge_types
     if not sig.members:
         raise ValueError("edge type set must be non-empty")
     if unfit := s.unrealizable_types():
         raise ValueError(f"hypothesis violated: types {unfit.to_json()} do not fit n={s.n} classes of q={s.q} vertices")
-    r = s.r
-    upper = s.vertex_count
-    if monochromatic(r) not in sig and rainbow(r) not in sig:
-        upper = min(upper, (r - 1) ** 2)
-    # k-fullness is downward monotone, so the first hit from above is the max.
-    fulls = (is_k_full(sig, k, s.n, s.q) for k in range(upper, r - 1, -1))
-    return next(w for w in fulls if w is not None)
+    lo, hi = s.r, s.vertex_count  # lo is full; the largest full k is at most hi
+    if monochromatic(lo) not in sig and rainbow(lo) not in sig:
+        hi = min(hi, (lo - 1) ** 2)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if is_k_full(sig, mid, s.n, s.q) is None:
+            hi = mid - 1
+        else:
+            lo = mid
+    return is_k_full(sig, lo, s.n, s.q)
 
 
 def brute_force_clique(h: Hypergraph, vertex_cap: int = 40) -> int:

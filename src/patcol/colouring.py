@@ -8,8 +8,7 @@ The search is backtracking with a dynamic vertex order (DSATUR, Brélaz
 1979): each node branches on the uncoloured vertex with the fewest colours
 left, ties broken by higher degree, then lower index.  A vertex may take
 colour c only if colours 0..c-1 are already in use (canonical colour
-introduction), a surjectivity bound cuts branches that can no longer open
-every colour, and colours are tried in increasing order.
+introduction), and colours are tried in increasing order.
 
 Each edge is held as an interned state, the sorted tuple of its non-zero
 colour counts, with a transition table, so no pattern is re-sorted on the
@@ -25,11 +24,13 @@ was: that vertex's domain already holds only colours completing an allowed
 pattern, and no later node reads a complete edge.
 
 One search serves a set of target colour counts, as in the distribution
-engine: it branches on colours below min(used+1, largest open target),
-prunes a branch once no open target is reachable from it (too few vertices
-left, or no uncoloured vertex able to take a fresh colour), and reports each
-colouring whose count is still open, so a spectrum is one search and each
-refutation is shared by every count.  A single k is the target set {k}.
+engine: it branches on colours below min(used+1, largest open target) and
+reports each colouring whose count is still open, so a spectrum is one search
+and each refutation is shared by every count.  A single k is the target set
+{k}.  Domains only shrink, and each colour still to open needs its own
+uncoloured vertex that can take the fresh colour now, so a branch is cut
+when too few such vertices are left to reach the smallest open target, or
+when none is left and its colour count is no target.
 
 The returned witness is the first valid assignment found in this dynamic
 order; the contract is that repeated runs always return the identical
@@ -210,25 +211,25 @@ def search_colourings(
             lo, hi = min(targets), max(targets)
             return None
         if used > hi or lo - used > nv - pos:
-            return None  # no open target is reachable from here
+            return None  # no open target is reachable: the bound below implies this, but before the scan
         # Canonical colour introduction: colours 0..used-1, or the fresh `used`.
         open_ = (1 << min(used + 1, hi)) - 1
         v, best = -1, hi + 1
-        fresh = 0
+        fresh = 0  # uncoloured vertices that can still take the fresh colour
+        settled = used >= lo and used in targets  # the prune below cannot fire
         for u in by_degree:
             if colour_of[u] < 0:
                 d = domain[u]
-                fresh |= d
+                fresh += d >> used & 1
                 n = (d & open_).bit_count()
                 if n < best:
                     v, best = u, n
-                    if n <= 1:  # forward checking leaves no empty domain to find
+                    if n <= 1 and settled:  # forward checking leaves no empty domain to find
                         break
-        else:
-            # Domains only shrink, so when no uncoloured vertex can take the
-            # fresh colour this branch ends with exactly `used` colours.
-            if not fresh >> used & 1 and used not in targets:
-                return None
+        # Domains only shrink, and each colour still to open needs its own
+        # such vertex: `fresh` bounds the colours this branch can still open.
+        if used + fresh < lo or not fresh and used not in targets:
+            return None
         options = domain[v] & open_
         touched = incident[v]
         while options:

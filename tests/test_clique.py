@@ -1,7 +1,9 @@
+import math
 from itertools import combinations
 
 import pytest
 
+from patcol import clique
 from patcol.clique import VertexCapExceeded, brute_force_clique, is_k_full, omega_sigma
 from patcol.hypergraph import SigmaHypergraph, build_complete, build_sigma_explicit, make_hypergraph
 from patcol.partitions import PatternSet, enumerate_partitions, monochromatic, rainbow
@@ -94,6 +96,20 @@ class TestOmega:
                 types = PatternSet(r, frozenset(c))
                 s = SigmaHypergraph(max(3, *map(len, types)), r, max(3, *(p[0] for p in types)), types)
                 assert omega_sigma(s).k <= bound
+
+    def test_bisects_k(self, monkeypatch):
+        # With (3) allowed the bound is the vertex count, 2025; a scan down
+        # from there would call is_k_full about 1,900 times.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return is_k_full(*args)
+
+        monkeypatch.setattr(clique, "is_k_full", counted)
+        s = SigmaHypergraph(45, 3, 45, pset(3, (3,), (2, 1)))
+        assert omega_sigma(s).k == 90
+        assert len(calls) <= math.ceil(math.log2(s.vertex_count - 3 + 1)) + 1
 
     def test_uncapped_variant_can_exceed_class_structure(self):
         # Capacities are tied to the structure: the mono-only family's

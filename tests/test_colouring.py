@@ -324,6 +324,33 @@ class TestSpectrum:
             gaps += bool(spec.gaps)
         assert gaps > 0
 
+    def test_gapped_target_sets_match_naive_spectrum(self):
+        # Target sets with holes exercise both arms of the reach prune: too
+        # few vertices left able to open a colour, and a count that can no
+        # longer grow but is not a target.
+        rng = random.Random(37)
+        from itertools import combinations
+
+        for _ in range(80):
+            r = rng.choice([2, 3, 4])
+            nv = rng.randint(r, 7)
+            pool = list(combinations(range(nv), r))
+            h = make_hypergraph(r, nv, rng.sample(pool, min(len(pool), rng.randint(1, 10))))
+            universe = sorted(enumerate_partitions(r))
+            allowed = PatternSet(r, frozenset(rng.sample(universe, rng.randint(1, len(universe)))))
+            targets = set(rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv))))
+            open_, reported = set(targets), []
+
+            def found(c):
+                assert c.k in open_ and is_valid(h, c, allowed)
+                reported.append(c.k)
+                open_.discard(c.k)
+                return False
+
+            search_colourings(h, allowed, open_, found)
+            want = targets & naive_spectrum(h, allowed, max(targets))
+            assert sorted(reported) == sorted(want), (r, nv, h.edges, allowed, targets)
+
     def test_empty_target_set_settles_nothing(self):
         s = SigmaHypergraph(2, 3, 2, pset(3, (2, 1)))
         h, q = build_sigma_explicit(s), pset(3, (2, 1))
