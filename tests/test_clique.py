@@ -98,8 +98,8 @@ class TestOmega:
                 assert omega_sigma(s).k <= bound
 
     def test_bisects_k(self, monkeypatch):
-        # With (3) allowed the bound is the vertex count, 2025; a scan down
-        # from there would call is_k_full about 1,900 times.
+        # With (3) allowed the bound is the vertex count, 2025, and ω = 90 lies
+        # far below it, so only a bisection stays within the call limit.
         calls = []
 
         def counted(*args):
